@@ -35,6 +35,7 @@ from .simulate import (
     returns_at,
     sample_initial_survivors,
     simulate_path,
+    window_index,
     write_path_csv,
 )
 from .estimate import (
@@ -64,7 +65,7 @@ __all__ = [
     "return_cumulant", "return_log_cf", "return_cf", "return_pmf", "PmfResult",
     "jump_distribution", "acf", "expected_pv", "expected_rv",
     "PricePath", "SurvivorSet", "sample_initial_survivors", "simulate_path",
-    "returns_at", "realized_pv", "write_path_csv", "read_path_csv",
+    "window_index", "returns_at", "realized_pv", "write_path_csv", "read_path_csv",
     "DEFAULT_GRID", "EmpiricalStats", "jump_empirics", "variance_grid", "collect_stats",
     "levy_from_moments", "FitResult", "fit_signature", "BootstrapResult", "bootstrap",
     "NonparametricTrawl", "nonparametric_trawl",

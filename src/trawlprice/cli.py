@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .clean import CleanConfig, clean_ticks, read_raw_csv
-from .estimate import bootstrap, collect_stats, fit_signature, variance_grid
+from .estimate import _signature_model, bootstrap, collect_stats, fit_signature, variance_grid
 from .model import ModelParams
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
@@ -257,9 +257,7 @@ def _cmd_signature(cfg: dict) -> int:
     inputs = [cfg["input"]]
     if cfg.get("fitted_params"):
         params = _load_params(cfg["fitted_params"])
-        inc = np.asarray(params.trawl.increment(deltas))
-        s0 = (2.0 - params.b) * params.levy.cumulant(2)
-        fitted = (params.b * deltas + 2.0 * inc) / ((2.0 - params.b) * deltas) * s0
+        fitted = _signature_model(params.trawl, deltas, (2.0 - params.b) * params.levy.cumulant(2))
         inputs.append(cfg["fitted_params"])
     _atomic_write_text(
         cfg["output"], _csv_text(["delta", "empirical", "fitted"], _signature_rows(deltas, empirical, fitted))
@@ -295,6 +293,7 @@ def _cmd_bootstrap(cfg: dict) -> int:
         "n_nonconverged": result.n_nonconverged,
         "seed": result.seed,
         "family": family,
+        "failures": [{"replica": i, "reason": reason} for i, reason in result.failures],
     }
     _atomic_json(cfg["output"], payload)
     _write_manifest("bootstrap", cfg, [cfg["params"]], [cfg["output"]], started)
@@ -374,6 +373,12 @@ _COMMANDS = {
     ),
 }
 
+_FLAG_HELP = {
+    "n_starts": "multi-start count of the sup-gamma and sup-gig fits (the exponential fit has no starts)",
+    "fit_seed": "seed of the sup-gamma and sup-gig multi-start (the exponential fit ignores it)",
+    "seed": "random seed (bootstrap also seeds its sup-gamma and sup-gig multi-start fits with it)",
+}
+
 _FLAG_TYPES = {
     "t_start": float, "t_end": float, "v0": int, "seed": int, "tick_size": float,
     "m_factor": float, "grid_min": float, "grid_max": float, "grid_points": int,
@@ -394,7 +399,7 @@ def _build_parser() -> _Parser:
                 sub.add_argument("--step1", action="store_true", default=argparse.SUPPRESS)
                 continue
             flag = "--" + key.replace("_", "-")
-            sub.add_argument(flag, type=_FLAG_TYPES.get(key, str), default=argparse.SUPPRESS)
+            sub.add_argument(flag, type=_FLAG_TYPES.get(key, str), default=argparse.SUPPRESS, help=_FLAG_HELP.get(key))
     return parser
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import qmc
 
 from .model import (
     ExponentialTrawl,
@@ -29,9 +29,10 @@ from .model import (
     SupGammaTrawl,
     SupGigTrawl,
     TabulatedTrawl,
+    TrawlFamily,
     TrawlSpec,
 )
-from .simulate import PricePath, realized_pv, simulate_path
+from .simulate import PricePath, realized_pv, simulate_path, window_index
 
 __all__ = [
     "DEFAULT_GRID",
@@ -117,10 +118,13 @@ def variance_grid(
     """Sample variance of non-overlapping returns for each window length.
 
     For each ``delta`` the path is cut into ``floor(span/delta)`` windows
-    anchored at ``t_start`` and the sample variance (denominator ``n-1``)
-    of the integer returns is computed.  Window lengths admitting fewer
-    than two full windows are rejected, or dropped with a warning when
-    ``drop_incompatible`` is set.
+    anchored at ``t_start``, with the boundary rule of
+    :func:`~trawlprice.simulate.window_index`, and the sample variance
+    (denominator ``n-1``) of the integer returns is computed.  Only the
+    windows holding events are summed, so time and memory scale with the
+    number of events, not with ``span/delta``.  Window lengths admitting
+    fewer than two full windows are rejected, or dropped with a warning
+    when ``drop_incompatible`` is set.
 
     Returns
     -------
@@ -133,12 +137,9 @@ def variance_grid(
         raise ValueError("window lengths must be finite and > 0")
     if np.any(np.diff(d_arr) <= 0.0):
         raise ValueError("window lengths must be strictly increasing")
-    t0, span = path.t_start, path.span
-    offsets = path.times - t0
-    jumps = path.jumps.astype(float)
     out_d, out_v, out_n = [], [], []
     for delta in d_arr:
-        n = int(math.floor(span / delta))
+        n = int(math.floor(path.span / delta))
         if n < 2:
             if drop_incompatible:
                 warnings.warn(
@@ -146,13 +147,14 @@ def variance_grid(
                 )
                 continue
             raise ValueError(f"window length {delta!r} admits fewer than 2 full windows")
-        # bucket events by window index; windows are (t0+(k-1)d, t0+kd]
-        k = np.ceil(offsets / delta).astype(np.int64)
-        valid = k <= n
-        sums = np.bincount(k[valid], weights=jumps[valid], minlength=n + 1)[1:]
-        mean = sums.sum() / n
+        k = window_index(path.times, path.t_start, delta)
+        m = int(np.searchsorted(k, n, side="right"))  # events in full windows
+        k = k[:m]
+        sums = np.add.reduceat(path.jumps[:m], np.flatnonzero(np.diff(k, prepend=0)))
+        # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
+        total, squares = int(sums.sum()), int(np.dot(sums, sums))
         out_d.append(delta)
-        out_v.append(float(np.sum((sums - mean) ** 2) / (n - 1)))
+        out_v.append((n * squares - total * total) / (n * (n - 1)))
         out_n.append(n)
     if not out_d:
         raise ValueError("no compatible window lengths remain")
@@ -223,34 +225,38 @@ def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> Lev
 # Variance-signature NLS
 # ---------------------------------------------------------------------------
 
-# internal coordinates: scale-like parameters are optimised on log scale
+# The model curve is linear in c = b/(2-b), so b is profiled out in closed
+# form and only the shape coordinates theta are searched.  Scale-like shape
+# parameters are searched on log scale.
+_B_BOUNDS = (1e-6, 1.0)
+_C_BOUNDS = (_B_BOUNDS[0] / (2.0 - _B_BOUNDS[0]), 1.0)
+
+# family -> (shape names, hard bounds, multi-start box); the exponential
+# family's single coordinate is searched by grid and Brent, without starts
 _FAMILY_COORDS = {
-    "exponential": (
-        ("b", "lambda"),
-        [(1e-6, 1.0), (math.log(1e-5), math.log(1e5))],  # hard bounds
-        [(0.05, 0.999), (math.log(0.01), math.log(100.0))],  # start box
-    ),
+    "exponential": (("lambda",), [(math.log(1e-5), math.log(1e5))], None),
     "sup-gamma": (
-        ("b", "alpha", "H"),
-        [(1e-6, 1.0), (math.log(1e-5), math.log(1e5)), (1.0, 50.0)],
-        [(0.05, 0.999), (math.log(0.01), math.log(100.0)), (1.01, 5.0)],
+        ("alpha", "H"),
+        [(math.log(1e-5), math.log(1e5)), (1.0, 50.0)],
+        [(math.log(0.01), math.log(100.0)), (1.01, 5.0)],
     ),
     "sup-gig": (
-        ("b", "gamma", "delta", "nu"),
-        [(1e-6, 1.0), (0.0, 50.0), (math.log(1e-5), math.log(1e5)), (-10.0, 10.0)],
-        [(0.05, 0.999), (0.0, 3.0), (math.log(0.01), math.log(100.0)), (-3.0, 3.0)],
+        ("gamma", "delta", "nu"),
+        [(0.0, 50.0), (math.log(1e-5), math.log(1e5)), (-10.0, 10.0)],
+        [(0.0, 3.0), (math.log(0.01), math.log(100.0)), (-3.0, 3.0)],
     ),
 }
 
-_LOG_COORDS = {"lambda", "alpha", "delta"}
+# log-spaced bracketing grid for the 1-D search: spacing 0.29 in log-lambda
+_GRID_POINTS = 81
 
 
-def _build_spec(family: str, x: np.ndarray) -> TrawlSpec:
+def _build_family(family: str, theta) -> TrawlFamily:
     if family == "exponential":
-        return TrawlSpec(b=x[0], family=ExponentialTrawl(lam=math.exp(x[1])))
+        return ExponentialTrawl(lam=math.exp(theta[0]))
     if family == "sup-gamma":
-        return TrawlSpec(b=x[0], family=SupGammaTrawl(alpha=math.exp(x[1]), H=x[2]))
-    return TrawlSpec(b=x[0], family=SupGigTrawl(gamma=x[1], delta_gig=math.exp(x[2]), order=x[3]))
+        return SupGammaTrawl(alpha=math.exp(theta[0]), H=theta[1])
+    return SupGigTrawl(gamma=theta[0], delta_gig=math.exp(theta[1]), order=theta[2])
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,9 @@ class FitResult:
 
     ``empirical`` and ``fitted`` are per-unit-time variances
     (``variance / delta``) on the ``deltas`` grid; ``boundary_flags``
-    names parameters pinned at a constraint; ``se`` is filled in by
+    names parameters pinned at a constraint; ``diagnostics`` records the
+    search used, its objective evaluations (``nfev``), the run kept and
+    the optimiser's stop message; ``se`` is filled in by
     :func:`bootstrap` when requested.
     """
 
@@ -270,6 +278,7 @@ class FitResult:
     fitted: np.ndarray
     converged: bool
     boundary_flags: tuple[str, ...]
+    diagnostics: dict
     se: dict | None = None
 
     def to_dict(self) -> dict:
@@ -277,62 +286,63 @@ class FitResult:
         out["objective"] = self.objective
         out["converged"] = self.converged
         out["boundary_flags"] = list(self.boundary_flags)
+        out["diagnostics"] = self.diagnostics
         out["se"] = self.se
         return out
 
 
 def _signature_model(spec: TrawlSpec, deltas: np.ndarray, s0: float) -> np.ndarray:
-    """Model variance per unit time on the grid for second-moment rate s0."""
-    inc = np.asarray(spec.increment(deltas))
-    return (spec.b * deltas + 2.0 * inc) / ((2.0 - spec.b) * deltas) * s0
+    """Model variance per unit time on the grid for second-moment rate s0.
 
-
-def fit_signature(
-    stats: EmpiricalStats,
-    family: str = "exponential",
-    n_starts: int = 20,
-    seed: int = 0,
-) -> FitResult:
-    """Fit ``b`` and a trawl family to the empirical variance signature.
-
-    Minimises the sum of squared deviations between the empirical variance
-    per unit time and the model curve
-
-        sigma^2(delta)/delta = (b delta + 2 inc(delta)) / ((2-b) delta) * s0
-
-    with ``s0`` pinned to its moment estimate.  Nelder-Mead from a Latin
-    hypercube of starting points (deterministic for a given ``seed``);
-    scale parameters are optimised on log scale.
-
-    Returns a :class:`FitResult` whose Levy measure is re-derived from the
-    jump frequencies at the fitted ``b``.
+    ``s0 * (g + c (1 - g))`` with ``g = increment(delta) / delta`` of the
+    unsquashed profile and ``c = b / (2 - b)``.
     """
-    if family not in _FAMILY_COORDS:
-        raise ValueError(f"unknown trawl family {family!r}; expected one of {sorted(_FAMILY_COORDS)}")
-    if stats.deltas.size < 3:
-        raise ValueError("variance signature needs at least 3 grid points")
-    names, bounds, start_box = _FAMILY_COORDS[family]
-    deltas = stats.deltas
-    empirical = stats.variances / deltas
-    s0 = stats.second_moment_rate()
+    g = np.asarray(spec.family.increment(deltas)) / deltas
+    c = spec.b / (2.0 - spec.b)
+    return s0 * (g + c * (1.0 - g))
 
-    def objective(x: np.ndarray) -> float:
-        try:
-            spec = _build_spec(family, x)
-            fitted = _signature_model(spec, deltas, s0)
-        except (ValueError, OverflowError):
-            return np.inf
-        if not np.all(np.isfinite(fitted)):
-            return np.inf
-        return float(np.sum((fitted - empirical) ** 2))
 
-    sampler = qmc.LatinHypercube(d=len(names), seed=seed)
-    lo = np.array([b[0] for b in start_box])
-    hi = np.array([b[1] for b in start_box])
+def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[float, float]:
+    """Least-squares ``c`` within its bounds for the curve at profile ratio ``g``.
+
+    The objective is a quadratic in ``c``, so clipping the unconstrained
+    projection gives the constrained minimum.  Returns ``(c, objective)``.
+    """
+    u = s0 * (1.0 - g)
+    a = empirical - s0 * g
+    uu = float(u @ u)
+    c = min(max(float(u @ a) / uu, _C_BOUNDS[0]), _C_BOUNDS[1]) if uu > 0.0 else 1.0
+    r = a - c * u
+    return c, float(r @ r)
+
+
+def _grid_brent(objective, lo: float, hi: float):
+    """Minimise a 1-D objective: log-spaced grid, then bounded Brent in the
+    best point's bracket.  Grid points include both bounds, so a minimum
+    pinned at a bound is found exactly."""
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    values = np.array([objective((x,)) for x in grid])
+    i = int(np.argmin(values))
+    res = optimize.minimize_scalar(
+        lambda x: objective((x,)),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    if res.fun < values[i]:
+        return np.array([res.x]), bool(res.success), "brent", str(res.message)
+    return grid[i : i + 1], bool(res.success), "grid", str(res.message)
+
+
+def _multistart(objective, bounds, start_box, n_starts: int, seed: int):
+    """Nelder-Mead from a Latin hypercube of starts, then a polish of the winner."""
+    from scipy.stats import qmc  # importing scipy.stats costs ~0.5 s; only this search needs it
+
+    sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
+    lo, hi = np.array(start_box).T
     starts = lo + sampler.random(n=n_starts) * (hi - lo)
-
-    best = None
-    for x0 in starts:
+    best, kept = None, None
+    for j, x0 in enumerate(starts):
         res = optimize.minimize(
             objective,
             x0,
@@ -341,9 +351,9 @@ def fit_signature(
             options={"xatol": 1e-6, "fatol": 1e-12, "maxfev": 3000, "maxiter": 3000},
         )
         if best is None or res.fun < best.fun:
-            best = res
-    # polish the winner; fatol must sit above the objective's own rounding
-    # noise (~1e-16 relative) or the spread criterion is unreachable
+            best, kept = res, f"start {j}"
+    # fatol must sit above the objective's own rounding noise (~1e-16
+    # relative) or the spread criterion is unreachable
     polish = optimize.minimize(
         objective,
         best.x,
@@ -357,26 +367,91 @@ def fit_signature(
         },
     )
     if polish.fun <= best.fun:
-        best = polish
+        best, kept = polish, "polish"
+    return best.x, bool(best.success), kept, str(best.message)
 
-    x = np.clip(best.x, [b[0] for b in bounds], [b[1] for b in bounds])
+
+def fit_signature(
+    stats: EmpiricalStats,
+    family: str = "exponential",
+    n_starts: int = 20,
+    seed: int = 0,
+) -> FitResult:
+    """Fit ``b`` and a trawl family to the empirical variance signature.
+
+    Minimises the sum of squared deviations between the empirical variance
+    per unit time and the model curve
+
+        sigma^2(delta)/delta = s0 * (g(delta) + c * (1 - g(delta))),
+        g(delta) = inc(delta) / delta,  c = b / (2 - b),
+
+    with ``s0`` pinned to its moment estimate and ``inc`` the increment
+    of the unsquashed profile.  The curve is linear in ``c``, so for each
+    shape vector the best ``c`` is a closed-form projection clipped to the
+    bounds of ``b`` (variable projection), and only the shape is searched:
+
+    - exponential: log-lambda over a log-spaced bracketing grid across the
+      hard bounds, then bounded Brent inside the best bracket;
+    - sup-gamma and sup-gig: Nelder-Mead from a Latin hypercube of
+      ``n_starts`` starting points (deterministic for a given ``seed``),
+      then a polish of the winner.  ``n_starts`` and ``seed`` are ignored
+      for the exponential family.
+
+    Scale parameters are searched on log scale.  Returns a
+    :class:`FitResult` whose Levy measure is re-derived from the jump
+    frequencies at the fitted ``b``; ``converged`` reports the search run
+    that produced the kept point.
+    """
+    if family not in _FAMILY_COORDS:
+        raise ValueError(f"unknown trawl family {family!r}; expected one of {sorted(_FAMILY_COORDS)}")
+    if stats.deltas.size < 3:
+        raise ValueError("variance signature needs at least 3 grid points")
+    names, bounds, start_box = _FAMILY_COORDS[family]
+    deltas = stats.deltas
+    empirical = stats.variances / deltas
+    s0 = stats.second_moment_rate()
+    nfev = 0
+
+    def objective(theta) -> float:
+        nonlocal nfev
+        nfev += 1
+        try:
+            g = np.asarray(_build_family(family, theta).increment(deltas)) / deltas
+        except (ValueError, OverflowError):
+            return np.inf
+        if not np.all(np.isfinite(g)):
+            return np.inf
+        return _project(g, empirical, s0)[1]
+
+    if start_box is None:
+        theta, converged, kept, message = _grid_brent(objective, *bounds[0])
+        search = "grid+brent"
+    else:
+        theta, converged, kept, message = _multistart(objective, bounds, start_box, n_starts, seed)
+        search = "multistart-nelder-mead"
+
+    theta = np.clip(theta, [lo for lo, _ in bounds], [hi for _, hi in bounds])
+    shape = _build_family(family, theta)
+    c, _ = _project(np.asarray(shape.increment(deltas)) / deltas, empirical, s0)
+    b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []
-    for name, xi, (blo, bhi) in zip(names, x, bounds):
+    for name, xi, (blo, bhi) in zip(("b", *names), (b, *theta), [_B_BOUNDS, *bounds]):
         width = bhi - blo
         if xi - blo <= 1e-9 * width or bhi - xi <= 1e-9 * width:
             flags.append(name)
-    spec = _build_spec(family, x)
-    levy = levy_from_moments(stats.alpha, stats.beta[0.0], spec.b)
+    spec = TrawlSpec(b=b, family=shape)
+    levy = levy_from_moments(stats.alpha, stats.beta[0.0], b)
     fitted = _signature_model(spec, deltas, s0)
-    converged = bool(polish.success) and math.isfinite(best.fun)
+    value = float(np.sum((fitted - empirical) ** 2))
     return FitResult(
         params=ModelParams(levy=levy, trawl=spec),
-        objective=float(best.fun),
+        objective=value,
         deltas=deltas.copy(),
         empirical=empirical,
         fitted=fitted,
-        converged=converged,
+        converged=converged and math.isfinite(value),
         boundary_flags=tuple(flags),
+        diagnostics={"search": search, "nfev": nfev, "kept": kept, "message": message},
     )
 
 
@@ -390,16 +465,18 @@ def _flatten_estimates(result: FitResult) -> dict[str, float]:
     return out
 
 
-def _bootstrap_one(args) -> tuple[int, bool, dict[str, float]]:
+def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
     (params, span, v0, family, seed, index, deltas, r_orders, n_starts) = args
     rng = np.random.default_rng([seed, index])
     path = simulate_path(params, 0.0, span, v0, rng)
     try:
         stats = collect_stats(path, deltas, r_orders=r_orders, drop_incompatible=True)
         fit = fit_signature(stats, family=family, n_starts=n_starts, seed=seed)
-    except ValueError:
-        return index, False, {}
-    return index, fit.converged, _flatten_estimates(fit)
+    except ValueError as exc:
+        return index, False, {}, str(exc)
+    if not fit.converged:
+        return index, False, {}, f"fit did not converge: {fit.diagnostics['message']}"
+    return index, True, _flatten_estimates(fit), None
 
 
 @dataclass(frozen=True)
@@ -408,7 +485,8 @@ class BootstrapResult:
 
     ``estimates[i]`` is the parameter vector fitted on replica ``i``
     (NaN where the fit failed); ``se``/``means`` summarise the converged
-    replicas with denominator ``n-1``.
+    replicas with denominator ``n-1``; ``failures`` pairs each failed
+    replica's index with its reason.
     """
 
     names: tuple[str, ...]
@@ -418,6 +496,7 @@ class BootstrapResult:
     means: dict
     n_nonconverged: int
     seed: int
+    failures: tuple[tuple[int, str], ...]
 
     @property
     def n_paths(self) -> int:
@@ -440,7 +519,9 @@ def bootstrap(
 
     Each replica ``i`` runs on its own substream ``default_rng([seed, i])``
     so results are identical for any ``n_workers``; replicas that fail to
-    converge are excluded from the summary and counted.
+    converge are excluded from the summary, counted, and listed with the
+    reason in ``failures``.  ``n_starts`` and ``seed`` also drive the
+    multi-start fits of the sup-gamma and sup-gig families.
     """
     if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
@@ -462,16 +543,21 @@ def bootstrap(
         raw = [_bootstrap_one(job) for job in jobs]
     raw.sort(key=lambda item: item[0])
 
-    names = sorted({k for _, ok, est in raw if ok for k in est}, key=lambda n: (n != "b", n))
+    names = sorted({k for _, ok, est, _ in raw if ok for k in est}, key=lambda n: (n != "b", n))
     table = np.full((len(raw), len(names)), np.nan)
     converged = np.zeros(len(raw), dtype=bool)
-    for i, (_, ok, est) in enumerate(raw):
+    for i, (_, ok, est, _) in enumerate(raw):
         converged[i] = ok
         if ok:
             table[i] = [est.get(name, 0.0) for name in names]
+    failures = tuple((i, reason) for i, _, _, reason in raw if reason is not None)
     good = table[converged]
     if good.shape[0] < 2:
-        raise RuntimeError(f"only {good.shape[0]} of {n_paths} replicas converged; cannot summarise")
+        counts = Counter(reason for _, reason in failures)
+        why = "; ".join(f"{n}x {reason}" for reason, n in counts.most_common())
+        raise RuntimeError(
+            f"only {good.shape[0]} of {n_paths} replicas converged; cannot summarise (failures: {why})"
+        )
     se = {name: float(np.std(good[:, j], ddof=1)) for j, name in enumerate(names)}
     means = {name: float(np.mean(good[:, j])) for j, name in enumerate(names)}
     return BootstrapResult(
@@ -482,6 +568,7 @@ def bootstrap(
         means=means,
         n_nonconverged=int(len(raw) - converged.sum()),
         seed=int(seed),
+        failures=failures,
     )
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "SurvivorSet",
     "sample_initial_survivors",
     "simulate_path",
+    "window_index",
     "returns_at",
     "realized_pv",
     "write_path_csv",
@@ -224,8 +224,22 @@ def simulate_path(params: ModelParams, t_start: float, t_end: float, v0: int, rn
     return PricePath(v0=int(v0), t_start=float(t_start), t_end=float(t_end), times=times, jumps=jumps, seed=seed)
 
 
+def window_index(times, t_start: float, delta: float) -> np.ndarray:
+    """Index ``k >= 1`` of the window ``(t_start+(k-1)delta, t_start+k*delta]``
+    holding each time.
+
+    The boundary is decided by one rule everywhere:
+    ``k = ceil((t - t_start) / delta)`` in floating point, so an event
+    stamped on an edge (a millisecond stamp at a window length that is a
+    multiple of 1 ms, say) lands in the same window in every signature and
+    return series.  Cost and memory are O(events); sorted times give
+    sorted indices.
+    """
+    return np.ceil((np.asarray(times, dtype=float) - t_start) / delta).astype(np.int64)
+
+
 def returns_at(path: PricePath, delta: float) -> np.ndarray:
-    """Integer returns over the regular grid ``t_start + k * delta``.
+    """Integer returns over the windows of :func:`window_index`.
 
     Produces ``floor(span / delta)`` returns; the ragged tail beyond the
     last full window is discarded.
@@ -236,8 +250,10 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
     n = int(math.floor(path.span / delta))
     if n < 1:
         raise ValueError("delta exceeds the path span")
-    grid = np.minimum(path.t_start + delta * np.arange(n + 1), path.t_end)
-    return np.diff(path.price_at(grid))
+    k = window_index(path.times, path.t_start, delta)
+    # events up to and including window j, for j = 0..n
+    upto = np.searchsorted(k, np.arange(n + 1), side="right")
+    return np.diff(np.concatenate([[0], np.cumsum(path.jumps)])[upto])
 
 
 def realized_pv(path: PricePath, r: float) -> float:

@@ -165,6 +165,14 @@ class TestFit:
         assert all(r[2] != "" for r in sig_rows)
         assert capsys.readouterr().out.splitlines()[-1].startswith("fit:")
 
+    def test_fit_json_records_diagnostics(self, tmp_path, params_file):
+        path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
+        out = str(tmp_path / "fit.json")
+        assert main(["fit", "--input", path_csv, "--output", out]) == 0
+        diag = json.loads(Path(out).read_text())["diagnostics"]
+        assert diag["search"] == "grid+brent"
+        assert diag["nfev"] > 0 and isinstance(diag["message"], str)
+
     def test_nonconvergence_exit_code_with_partial_output(self, tmp_path, params_file, monkeypatch):
         path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
         real = cli.fit_signature
@@ -243,6 +251,34 @@ class TestBootstrap:
         replay = str(tmp_path / "boot2.json")
         assert main(["bootstrap", "--config", out + ".manifest.json", "--output", replay]) == 0
         assert Path(replay).read_bytes() == Path(out).read_bytes()
+
+    def test_failed_replicas_written_with_reasons(self, tmp_path, params_file, monkeypatch):
+        import trawlprice.estimate as estimate
+
+        real = estimate.fit_signature
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit_signature", fail_second)
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "1800", "--v0", "0",
+                     "--n-paths", "3", "--seed", "3", "--workers", "1", "--output", out]) == 3
+        blob = json.loads(Path(out).read_text())
+        assert blob["failures"] == [{"replica": 1, "reason": "boom"}]
+        assert blob["n_nonconverged"] == 1
+
+    @pytest.mark.filterwarnings("ignore:dropping window length")
+    def test_all_replicas_failing_names_the_reason(self, tmp_path, params_file, capsys):
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "50", "--v0", "0",
+                     "--n-paths", "2", "--seed", "3", "--grid-min", "30", "--grid-max", "45",
+                     "--grid-points", "3", "--workers", "1", "--output", out]) == 2
+        assert "no compatible window lengths remain" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -8,12 +8,20 @@ simulated paths (where only statistical closeness is required).
 """
 
 import math
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import optimize
+
+import trawlprice
+import trawlprice.estimate as estimate
 
 from trawlprice import (
     DEFAULT_GRID,
@@ -40,6 +48,33 @@ from trawlprice import (
 
 from conftest import BASE_B, BASE_LAM, BASE_NU
 from conftest import theoretical_stats as _theoretical_stats
+
+
+def _dense_variance(path: PricePath, delta: float) -> tuple[float, int]:
+    """Reference signature point: a return for every one of the
+    ``floor(span/delta)`` windows, then a two-pass variance."""
+    n = int(math.floor(path.span / delta))
+    k = np.ceil((path.times - path.t_start) / delta).astype(np.int64)
+    keep = k <= n
+    rets = np.bincount(k[keep], weights=path.jumps[keep], minlength=n + 1)[1:]
+    return float(np.var(rets, ddof=1)), n
+
+
+def _random_path(seed: int, n_events: int, t_start: float, t_end: float) -> PricePath:
+    rng = np.random.default_rng(seed)
+    times = np.unique(rng.uniform(t_start, t_end, n_events))
+    times = times[times > t_start]
+    jumps = rng.choice([-3, -2, -1, 1, 2, 5], size=times.size)
+    return PricePath(v0=100, t_start=t_start, t_end=t_end, times=times, jumps=jumps)
+
+
+def _millisecond_path(params, t_end: float, seed: int) -> PricePath:
+    """A simulated path with stamps rounded up to 1 ms and moves sharing a
+    stamp netted, as a cleaned real feed would hold them."""
+    path = simulate_path(params, 0.0, t_end, 0, seed)
+    stamps, where = np.unique(np.ceil(path.times * 1000.0) / 1000.0, return_inverse=True)
+    net = np.bincount(where, weights=path.jumps).astype(np.int64)
+    return PricePath(v0=0, t_start=0.0, t_end=t_end, times=stamps[net != 0], jumps=net[net != 0])
 
 
 def _manual_path() -> PricePath:
@@ -130,6 +165,54 @@ class TestVarianceGrid:
     def test_rejects_malformed_grids(self, bad):
         with pytest.raises(ValueError):
             variance_grid(_manual_path(), bad)
+
+    @pytest.mark.parametrize(
+        "path,deltas",
+        [
+            # random paths with several jump sizes and a ragged tail
+            (_random_path(0, 2000, 0.0, 1000.0), np.geomspace(0.01, 300.0, 25)),
+            (_random_path(1, 500, 3.7, 977.3), np.geomspace(0.3, 400.0, 15)),
+            # most windows empty
+            (_random_path(2, 20, 0.0, 50000.0), [0.5, 7.0, 1000.0]),
+            # every event in the ragged tail beyond the last full window
+            (PricePath(v0=0, t_start=0.0, t_end=10.0, times=np.array([9.5, 9.9]), jumps=np.array([1, -2])),
+             [3.0, 4.5]),
+            # no events at all
+            (PricePath(v0=0, t_start=1.0, t_end=11.0, times=np.empty(0), jumps=np.empty(0, dtype=int)),
+             [1.0, 2.0]),
+        ],
+    )
+    def test_sparse_matches_dense_reference(self, path, deltas):
+        d, v, n = variance_grid(path, deltas)
+        for i, delta in enumerate(d):
+            var, count = _dense_variance(path, float(delta))
+            assert n[i] == count
+            assert_allclose(v[i], var, rtol=1e-12, atol=1e-15)
+
+    def test_millisecond_edges_follow_returns_at(self):
+        # stamps quantised to 1 ms sit exactly on window edges; both paths
+        # of the code must put them in the same window
+        params = ModelParams(
+            levy=LevyMeasure({1: 0.5, -1: 0.5}),
+            trawl=TrawlSpec(b=BASE_B, family=ExponentialTrawl(lam=BASE_LAM)),
+        )
+        path = _millisecond_path(params, 20000.0, 1)
+        _, v, _ = variance_grid(path, [0.3])
+        assert_allclose(v[0], np.var(returns_at(path, 0.3), ddof=1), rtol=1e-12)
+
+    def test_memory_scales_with_events(self):
+        # 10^7 windows of 1 ms but only ~1k events: a dense pass would
+        # allocate ~80 MB per window array
+        path = _random_path(3, 1000, 0.0, 10000.0)
+        tracemalloc.start()
+        try:
+            _, v, n = variance_grid(path, [0.001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n[0] == 10**7
+        assert peak < 5 * 2**20
+        assert_allclose(v[0], _dense_variance(path, 0.001)[0], rtol=1e-12)
 
     def test_collect_stats_bundles_everything(self, base_params):
         path = simulate_path(base_params, 0.0, 5000.0, 0, 3)
@@ -295,6 +378,65 @@ class TestFitSignature:
         with pytest.raises(ValueError, match="at least 3"):
             fit_signature(_theoretical_stats(base_params, deltas=[1.0, 2.0]))
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_exponential_fit_beats_dense_grid_search(self, base_params, seed):
+        # reference optimiser: a dense (b, lambda) grid on the literal
+        # model curve, refined by Nelder-Mead from its best point
+        stats = collect_stats(simulate_path(base_params, 0.0, 30000.0, 0, seed))
+        d, emp, s0 = stats.deltas, stats.variances / stats.deltas, stats.second_moment_rate()
+
+        def curve(b, lam):
+            inc = (1.0 - b) * -np.expm1(-lam * d) / lam
+            return (b * d + 2.0 * inc) / ((2.0 - b) * d) * s0
+
+        b_grid = np.linspace(1e-6, 1.0, 200)[:, None, None]
+        lam_grid = np.geomspace(1e-3, 1e3, 200)[None, :, None]
+        sse = np.sum((curve(b_grid, lam_grid) - emp) ** 2, axis=2)
+        i, j = np.unravel_index(np.argmin(sse), sse.shape)
+        ref = optimize.minimize(
+            lambda x: float(np.sum((curve(x[0], math.exp(x[1])) - emp) ** 2)),
+            [b_grid[i, 0, 0], math.log(lam_grid[0, j, 0])],
+            method="Nelder-Mead",
+            bounds=[(1e-6, 1.0), (math.log(1e-5), math.log(1e5))],
+            options={"xatol": 1e-12, "fatol": 1e-20, "maxfev": 20000},
+        )
+        fit = fit_signature(stats, family="exponential")
+        assert fit.converged
+        assert fit.objective <= ref.fun * (1.0 + 1e-9)
+
+    def test_diagnostics_recorded(self, base_params):
+        stats = _theoretical_stats(base_params)
+        exp_fit = fit_signature(stats, family="exponential")
+        assert exp_fit.diagnostics["search"] == "grid+brent"
+        assert exp_fit.diagnostics["kept"] in ("grid", "brent")
+        assert exp_fit.diagnostics["nfev"] > estimate._GRID_POINTS
+        assert isinstance(exp_fit.diagnostics["message"], str)
+        gamma_fit = fit_signature(stats, family="sup-gamma", n_starts=3)
+        assert gamma_fit.diagnostics["search"] == "multistart-nelder-mead"
+        assert gamma_fit.diagnostics["nfev"] > 3
+        assert exp_fit.to_dict()["diagnostics"] == exp_fit.diagnostics
+
+    def test_converged_reports_the_kept_run(self, base_params, monkeypatch):
+        # a polish that ends worse than its start is discarded; converged
+        # must then come from the start that was kept, not from the polish
+        real = optimize.minimize
+        calls = []
+
+        def failing_polish(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            calls.append(res)
+            if len(calls) > 3:  # the polish follows the 3 starts
+                res.fun, res.success, res.message = res.fun + 1.0, False, "polish failed"
+            return res
+
+        monkeypatch.setattr(estimate.optimize, "minimize", failing_polish)
+        fit = fit_signature(_theoretical_stats(base_params), family="sup-gamma", n_starts=3)
+        assert len(calls) == 4
+        assert fit.diagnostics["kept"].startswith("start ")
+        kept = calls[int(fit.diagnostics["kept"].split()[1])]
+        assert fit.converged is bool(kept.success)
+        assert fit.diagnostics["message"] == kept.message
+
     def test_path_scale_recovery(self, base_params):
         # one long simulated path: estimates land near the truth at
         # sampling accuracy (guarded loosely; the Monte Carlo study in the
@@ -329,6 +471,30 @@ class TestBootstrap:
         assert serial.names == pooled.names
         assert_array_equal(serial.estimates, pooled.estimates)
         assert serial.se == pooled.se
+
+    def test_failure_reasons_reported(self, base_params):
+        # every window length exceeds half the span: each replica fails
+        # for the same stated reason
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError, match="no compatible window lengths remain"):
+                bootstrap(base_params, span=50.0, v0=0, n_paths=3, deltas=[30.0, 40.0, 45.0])
+
+    def test_failed_replicas_listed(self, base_params, monkeypatch):
+        real = estimate.fit_signature
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit_signature", fail_second)
+        res = bootstrap(base_params, span=1800.0, v0=0, n_paths=3, seed=8, n_workers=1)
+        assert res.failures == ((1, "boom"),)
+        assert res.n_nonconverged == 1
+        assert list(res.converged) == [True, False, True]
 
     def test_rejects_degenerate_requests(self, base_params):
         with pytest.raises(ValueError, match="at least 2"):
@@ -380,3 +546,11 @@ class TestNonparametricTrawl:
             nonparametric_trawl(_theoretical_stats(base_params, deltas=np.linspace(1, 30, 5)))
         with pytest.raises(ValueError, match="decade"):
             nonparametric_trawl(_theoretical_stats(base_params, deltas=np.linspace(1, 5, 12)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time and only the
+    # multi-start fits need it
+    src = str(Path(trawlprice.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import trawlprice; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -24,6 +24,7 @@ from trawlprice import (
     returns_at,
     sample_initial_survivors,
     simulate_path,
+    window_index,
     write_path_csv,
 )
 from trawlprice.simulate import _generate_events
@@ -297,6 +298,23 @@ class TestReturnsAt:
         path = simulate_path(base_params, 0.0, 1000.0, 50, 5)
         rets = returns_at(path, 10.0)
         assert rets.sum() == path.price_at(1000.0) - 50
+
+
+class TestWindowIndex:
+    def test_edges_close_their_window(self):
+        # binary-exact edges: a time on edge k is in window k, one ulp
+        # later it is in window k + 1
+        k = np.arange(1, 2000)
+        edges = 8.0 + 0.25 * k
+        assert_array_equal(window_index(edges, 8.0, 0.25), k)
+        assert_array_equal(window_index(np.nextafter(edges, np.inf), 8.0, 0.25), k + 1)
+
+    def test_sorted_stamps_give_sorted_indices(self):
+        times = np.arange(1, 30001) / 1000.0
+        for delta in (0.3, 0.007, 1.1):
+            k = window_index(times, 0.0, delta)
+            assert k[0] == 1 and np.all(np.diff(k) >= 0)
+            assert np.all(np.abs(k * delta - times) < delta + 1e-12)
 
 
 class TestRealizedPv:
