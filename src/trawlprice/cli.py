@@ -13,10 +13,12 @@ non-convergence (partial outputs are still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -63,11 +65,27 @@ class RunManifest:
         }
 
 
+@contextlib.contextmanager
+def _atomic_target(path: str):
+    """Yield a unique temp file beside ``path``, renamed onto it on success, removed on error."""
+    head, tail = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{tail}.", suffix=".tmp", dir=head or ".")
+    os.close(fd)
+    try:
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)  # mkstemp makes 0600; keep open()'s mode
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with _atomic_target(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _atomic_json(path: str, payload: dict) -> None:
@@ -118,10 +136,8 @@ def _load_path(csv_file: str, sidecar: str | None):
 
 def _write_path(path, out_csv: str) -> list[str]:
     sidecar = f"{out_csv}.meta.json"
-    tmp_csv, tmp_side = f"{out_csv}.tmp", f"{sidecar}.tmp"
-    write_path_csv(path, tmp_csv, tmp_side)
-    os.replace(tmp_csv, out_csv)
-    os.replace(tmp_side, sidecar)
+    with _atomic_target(out_csv) as tmp_csv, _atomic_target(sidecar) as tmp_side:
+        write_path_csv(path, tmp_csv, tmp_side)
     return [out_csv, sidecar]
 
 
@@ -324,7 +340,7 @@ def _default_workers() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 _GRID_DEFAULTS = {"grid_min": 0.1, "grid_max": 60.0, "grid_points": 60}

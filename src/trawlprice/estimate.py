@@ -12,26 +12,18 @@ The estimation strategy uses only jump counts and a variance signature:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import optimize
 
-from .model import (
-    ExponentialTrawl,
-    LevyMeasure,
-    ModelParams,
-    SupGammaTrawl,
-    SupGigTrawl,
-    TabulatedTrawl,
-    TrawlFamily,
-    TrawlSpec,
-)
+from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class
 from .simulate import PricePath, realized_pv, simulate_path, window_index
 
 __all__ = [
@@ -172,15 +164,7 @@ def collect_stats(
         deltas = DEFAULT_GRID
     base = jump_empirics(path, r_orders)
     d, v, n = variance_grid(path, deltas, drop_incompatible=drop_incompatible)
-    return EmpiricalStats(
-        alpha=base.alpha,
-        beta=base.beta,
-        deltas=d,
-        variances=v,
-        counts=n,
-        span=base.span,
-        n_events=base.n_events,
-    )
+    return replace(base, deltas=d, variances=v, counts=n)
 
 
 def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> LevyMeasure:
@@ -226,37 +210,37 @@ def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> Lev
 # ---------------------------------------------------------------------------
 
 # The model curve is linear in c = b/(2-b), so b is profiled out in closed
-# form and only the shape coordinates theta are searched.  Scale-like shape
-# parameters are searched on log scale.
+# form and only the shape coordinates theta of the family's ``coords``
+# table are searched, scale parameters on log scale.
 _B_BOUNDS = (1e-6, 1.0)
 _C_BOUNDS = (_B_BOUNDS[0] / (2.0 - _B_BOUNDS[0]), 1.0)
-
-# family -> (shape names, hard bounds, multi-start box); the exponential
-# family's single coordinate is searched by grid and Brent, without starts
-_FAMILY_COORDS = {
-    "exponential": (("lambda",), [(math.log(1e-5), math.log(1e5))], None),
-    "sup-gamma": (
-        ("alpha", "H"),
-        [(math.log(1e-5), math.log(1e5)), (1.0, 50.0)],
-        [(math.log(0.01), math.log(100.0)), (1.01, 5.0)],
-    ),
-    "sup-gig": (
-        ("gamma", "delta", "nu"),
-        [(0.0, 50.0), (math.log(1e-5), math.log(1e5)), (-10.0, 10.0)],
-        [(0.0, 3.0), (math.log(0.01), math.log(100.0)), (-3.0, 3.0)],
-    ),
-}
 
 # log-spaced bracketing grid for the 1-D search: spacing 0.29 in log-lambda
 _GRID_POINTS = 81
 
 
-def _build_family(family: str, theta) -> TrawlFamily:
-    if family == "exponential":
-        return ExponentialTrawl(lam=math.exp(theta[0]))
-    if family == "sup-gamma":
-        return SupGammaTrawl(alpha=math.exp(theta[0]), H=theta[1])
-    return SupGigTrawl(gamma=theta[0], delta_gig=math.exp(theta[1]), order=theta[2])
+def _fit_family(name: str, n_starts: int) -> type[TrawlFamily]:
+    """The family class a signature fit searches, after the checks that
+    :func:`fit_signature` and :func:`bootstrap` share."""
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts!r}")
+    cls = _family_class(name)
+    if not cls.coords:
+        raise ValueError(f"fits need a parametric family; {name!r} has no fit coordinates")
+    return cls
+
+
+@functools.lru_cache(maxsize=None)
+def _search_space(cls: type[TrawlFamily]):
+    """A family's fit bounds, start box and theta -> family builder, in
+    search coordinates (log scale where the table says so)."""
+    coords = cls.coords.values()
+    bounds = tuple(tuple(map(math.log, c.bounds)) if c.log else c.bounds for c in coords)
+    start_box = tuple(tuple(map(math.log, c.box)) if c.log else c.box for c in coords)
+    # generated from the table so that the objective's one construction per
+    # evaluation costs what a hand-written constructor call does
+    args = ", ".join(f"{c.attr}=exp(theta[{i}])" if c.log else f"{c.attr}=theta[{i}]" for i, c in enumerate(coords))
+    return bounds, start_box, eval(f"lambda theta: cls({args})", {"cls": cls, "exp": math.exp})
 
 
 @dataclass(frozen=True)
@@ -395,18 +379,19 @@ def fit_signature(
     - sup-gamma and sup-gig: Nelder-Mead from a Latin hypercube of
       ``n_starts`` starting points (deterministic for a given ``seed``),
       then a polish of the winner.  ``n_starts`` and ``seed`` are ignored
-      for the exponential family.
+      for the exponential family, but ``n_starts`` must be at least 1 for
+      every family.
 
-    Scale parameters are searched on log scale.  Returns a
-    :class:`FitResult` whose Levy measure is re-derived from the jump
-    frequencies at the fitted ``b``; ``converged`` reports the search run
-    that produced the kept point.
+    The search coordinates, their bounds and the start box come from the
+    family's ``coords`` table; scale parameters are searched on log scale.
+    Returns a :class:`FitResult` whose Levy measure is re-derived from the
+    jump frequencies at the fitted ``b``; ``converged`` reports the search
+    run that produced the kept point.
     """
-    if family not in _FAMILY_COORDS:
-        raise ValueError(f"unknown trawl family {family!r}; expected one of {sorted(_FAMILY_COORDS)}")
+    cls = _fit_family(family, n_starts)
     if stats.deltas.size < 3:
         raise ValueError("variance signature needs at least 3 grid points")
-    names, bounds, start_box = _FAMILY_COORDS[family]
+    bounds, start_box, build = _search_space(cls)
     deltas = stats.deltas
     empirical = stats.variances / deltas
     s0 = stats.second_moment_rate()
@@ -416,14 +401,14 @@ def fit_signature(
         nonlocal nfev
         nfev += 1
         try:
-            g = np.asarray(_build_family(family, theta).increment(deltas)) / deltas
+            g = np.asarray(build(theta).increment(deltas)) / deltas
         except (ValueError, OverflowError):
             return np.inf
         if not np.all(np.isfinite(g)):
             return np.inf
         return _project(g, empirical, s0)[1]
 
-    if start_box is None:
+    if len(bounds) == 1:
         theta, converged, kept, message = _grid_brent(objective, *bounds[0])
         search = "grid+brent"
     else:
@@ -431,11 +416,11 @@ def fit_signature(
         search = "multistart-nelder-mead"
 
     theta = np.clip(theta, [lo for lo, _ in bounds], [hi for _, hi in bounds])
-    shape = _build_family(family, theta)
+    shape = build(theta)
     c, _ = _project(np.asarray(shape.increment(deltas)) / deltas, empirical, s0)
     b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []
-    for name, xi, (blo, bhi) in zip(("b", *names), (b, *theta), [_B_BOUNDS, *bounds]):
+    for name, xi, (blo, bhi) in zip(("b", *cls.coords), (b, *theta), [_B_BOUNDS, *bounds]):
         width = bhi - blo
         if xi - blo <= 1e-9 * width or bhi - xi <= 1e-9 * width:
             flags.append(name)
@@ -527,8 +512,7 @@ def bootstrap(
         raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
     if family is None:
         family = params.trawl.family.name
-    if family == "tabulated":
-        raise ValueError("bootstrap refits need a parametric family")
+    _fit_family(family, n_starts)
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as sps
@@ -172,15 +172,30 @@ def _invert_decreasing(func, targets, hi0: float = 1.0, rtol: float = 1e-10):
     return 0.5 * (lo + hi)
 
 
+class Coord(NamedTuple):
+    """A fit coordinate; bounds and start box are in natural units."""
+
+    attr: str
+    log: bool
+    bounds: tuple[float, float]
+    box: tuple[float, float]
+
+
 class TrawlFamily(ABC):
     """Normalised trawl depth profile ``d_tilde`` with its integrals.
 
     Subclasses describe the profile *before* squashing: ``d_tilde(0) = 1``
     and ``d_tilde`` is nonincreasing into the past.  All methods accept
     scalars or arrays.
+
+    ``coords`` maps each wire-format parameter name to its :class:`Coord`:
+    the constructor field, whether it is searched on log scale, its hard
+    bounds and its multi-start box.  :meth:`params`, :meth:`from_params`
+    and the signature fit all read it; an empty table is not fittable.
     """
 
     name: str = "abstract"
+    coords: ClassVar[dict[str, Coord]] = {}
 
     @abstractmethod
     def d_tilde(self, s):
@@ -205,9 +220,7 @@ class TrawlFamily(ABC):
         profile value at ``-t`` is the probability that a move born with
         uniform height survives past age ``t``.
         """
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0.0) or np.any(p_arr >= 1.0) or not np.all(np.isfinite(p_arr)):
-            raise ValueError("lifetime quantile level must lie in [0, 1)")
+        p_arr = _check_level(p, "[0,1)")
         out = _invert_decreasing(lambda t: self.d_tilde(-t), 1.0 - np.atleast_1d(p_arr))
         return _match(out.reshape(np.shape(p)), p)
 
@@ -217,16 +230,19 @@ class TrawlFamily(ABC):
         Returns ``t >= 0`` with ``overlap(t) = q * area`` for ``q in (0, 1]``;
         used to seed moves already alive at the start of a simulation window.
         """
-        q_arr = np.asarray(q, dtype=float)
-        if np.any(q_arr <= 0.0) or np.any(q_arr > 1.0) or not np.all(np.isfinite(q_arr)):
-            raise ValueError("residual quantile level must lie in (0, 1]")
+        q_arr = _check_level(q, "(0,1]")
         a = self.area()
         out = _invert_decreasing(lambda t: self.overlap(t), a * np.atleast_1d(q_arr))
         return _match(out.reshape(np.shape(q)), q)
 
-    @abstractmethod
     def params(self) -> dict:
-        """JSON-ready parameter mapping (inverse of :func:`family_from_params`)."""
+        """JSON-ready parameter mapping (inverse of :meth:`from_params`)."""
+        return {key: getattr(self, c.attr) for key, c in self.coords.items()}
+
+    @classmethod
+    def from_params(cls, params: Mapping) -> "TrawlFamily":
+        """Build the family from its wire-format parameter mapping."""
+        return cls(**{c.attr: float(params[key]) for key, c in cls.coords.items()})
 
 
 @dataclass(frozen=True)
@@ -235,6 +251,7 @@ class ExponentialTrawl(TrawlFamily):
 
     lam: float
     name = "exponential"
+    coords = {"lambda": Coord("lam", True, (1e-5, 1e5), (0.01, 100.0))}
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
@@ -265,9 +282,6 @@ class ExponentialTrawl(TrawlFamily):
         q_arr = _check_level(q, "(0,1]")
         return _match(-np.log(q_arr) / self.lam, q)
 
-    def params(self) -> dict:
-        return {"lambda": self.lam}
-
 
 @dataclass(frozen=True)
 class SupGammaTrawl(TrawlFamily):
@@ -282,6 +296,10 @@ class SupGammaTrawl(TrawlFamily):
     alpha: float
     H: float
     name = "sup-gamma"
+    coords = {
+        "alpha": Coord("alpha", True, (1e-5, 1e5), (0.01, 100.0)),
+        "H": Coord("H", False, (1.0, 50.0), (1.01, 5.0)),
+    }
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -325,9 +343,6 @@ class SupGammaTrawl(TrawlFamily):
         q_arr = _check_level(q, "(0,1]")
         return _match(self.alpha * np.expm1(-np.log(q_arr) / (self.H - 1.0)), q)
 
-    def params(self) -> dict:
-        return {"alpha": self.alpha, "H": self.H}
-
 
 @dataclass(frozen=True)
 class SupGigTrawl(TrawlFamily):
@@ -351,6 +366,11 @@ class SupGigTrawl(TrawlFamily):
     delta_gig: float
     order: float
     name = "sup-gig"
+    coords = {
+        "gamma": Coord("gamma", False, (0.0, 50.0), (0.0, 3.0)),
+        "delta": Coord("delta_gig", True, (1e-5, 1e5), (0.01, 100.0)),
+        "nu": Coord("order", False, (-10.0, 10.0), (-3.0, 3.0)),
+    }
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
@@ -409,9 +429,6 @@ class SupGigTrawl(TrawlFamily):
     def increment(self, t):
         t_arr = _check_age(t)
         return _match(self.area() - np.asarray(self.overlap(t_arr)), t)
-
-    def params(self) -> dict:
-        return {"gamma": self.gamma, "delta": self.delta_gig, "nu": self.order}
 
 
 class TabulatedTrawl(TrawlFamily):
@@ -519,6 +536,10 @@ class TabulatedTrawl(TrawlFamily):
     def params(self) -> dict:
         return {"s": self._s.tolist(), "d_tilde": self._d.tolist()}
 
+    @classmethod
+    def from_params(cls, params: Mapping) -> "TabulatedTrawl":
+        return cls(params["s"], params["d_tilde"])
+
 
 def _check_age(t) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
@@ -539,25 +560,20 @@ def _check_level(p, kind: str) -> np.ndarray:
     return p_arr
 
 
-_FAMILIES = {
-    "exponential": ExponentialTrawl,
-    "sup-gamma": SupGammaTrawl,
-    "sup-gig": SupGigTrawl,
-    "tabulated": TabulatedTrawl,
-}
+_FAMILIES = {cls.name: cls for cls in (ExponentialTrawl, SupGammaTrawl, SupGigTrawl, TabulatedTrawl)}
+
+
+def _family_class(name: str) -> type[TrawlFamily]:
+    """The trawl family class registered under a wire-format name."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown trawl family {name!r}; expected one of {sorted(_FAMILIES)}") from None
 
 
 def family_from_params(name: str, params: Mapping) -> TrawlFamily:
     """Build a trawl family from its wire-format name and parameter map."""
-    if name == "exponential":
-        return ExponentialTrawl(lam=float(params["lambda"]))
-    if name == "sup-gamma":
-        return SupGammaTrawl(alpha=float(params["alpha"]), H=float(params["H"]))
-    if name == "sup-gig":
-        return SupGigTrawl(gamma=float(params["gamma"]), delta_gig=float(params["delta"]), order=float(params["nu"]))
-    if name == "tabulated":
-        return TabulatedTrawl(params["s"], params["d_tilde"])
-    raise ValueError(f"unknown trawl family {name!r}; expected one of {sorted(_FAMILIES)}")
+    return _family_class(name).from_params(params)
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +624,6 @@ class TrawlSpec:
         if self.b == 1.0:
             return _match(np.zeros_like(_check_age(t)), t)
         return _match((1.0 - self.b) * np.asarray(self.family.increment(t)), t)
-
-    def lifetime_quantile(self, p):
-        """Fleeting-move lifetime quantile (profile inverse, b-free)."""
-        return self.family.lifetime_quantile(p)
-
-    def residual_quantile(self, q):
-        """Residual-lifetime quantile for moves alive at a window start."""
-        return self.family.residual_quantile(q)
 
     def to_dict(self) -> dict:
         return {"family": self.family.name, "params": self.family.params()}

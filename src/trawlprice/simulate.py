@@ -139,7 +139,7 @@ def sample_initial_survivors(params: ModelParams, rng) -> SurvivorSet:
     n = int(rng.poisson(params.levy.total_mass * leb))
     sizes = rng.choice(params.levy.sizes, size=n, p=params.levy.probabilities)
     u = rng.random(n)
-    residuals = np.asarray(params.trawl.residual_quantile(u)) if n else np.empty(0)
+    residuals = np.asarray(params.trawl.family.residual_quantile(u)) if n else np.empty(0)
     return SurvivorSet(sizes=sizes, residuals=np.atleast_1d(residuals))
 
 
@@ -183,7 +183,7 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     fleeting = heights > b
     if fleeting.any():
         p_life = (heights[fleeting] - b) / (1.0 - b)
-        lifetimes = np.atleast_1d(np.asarray(trawl.lifetime_quantile(p_life)))
+        lifetimes = np.atleast_1d(np.asarray(trawl.family.lifetime_quantile(p_life)))
         d_times = a_times[fleeting] + lifetimes
         keep = d_times <= t_end
         idx = np.flatnonzero(fleeting)[keep]

@@ -10,6 +10,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,26 @@ class TestSimulate:
         _simulate(tmp_path, params_file)
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_existing_tmp_files_are_left_alone(self, tmp_path, params_file):
+        out = tmp_path / "path.csv"
+        strangers = [Path(f"{out}.tmp"), Path(f"{out}.meta.json.tmp")]
+        for i, file in enumerate(strangers):
+            file.write_text(f"another run's file {i}\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        _simulate(tmp_path, params_file)
+        for i, file in enumerate(strangers):
+            assert file.read_text() == f"another run's file {i}\n"
+        written = {"path.csv", "path.csv.meta.json", "path.csv.manifest.json"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, *written])
+
+    def test_outputs_follow_the_umask(self, tmp_path, params_file):
+        mask = os.umask(0o027)
+        try:
+            out = _simulate(tmp_path, params_file)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+
 
 class TestPmf:
     def test_skellam_probabilities(self, tmp_path, skellam_file):
@@ -186,6 +208,15 @@ class TestFit:
         assert code == 3
         assert json.loads(Path(out).read_text())["converged"] is False
         assert Path(out + ".signature.csv").exists()
+
+    @pytest.mark.parametrize("family", ["exponential", "sup-gamma"])
+    def test_non_positive_n_starts_is_data_error(self, tmp_path, params_file, capsys, family):
+        path_csv = _simulate(tmp_path, params_file, t_end=2000.0)
+        out = str(tmp_path / "fit.json")
+        code = main(["fit", "--input", path_csv, "--family", family, "--n-starts", "0", "--output", out])
+        assert code == 2
+        assert "n_starts" in capsys.readouterr().err
+        assert not Path(out).exists()
 
 
 class TestSignature:
@@ -279,6 +310,18 @@ class TestBootstrap:
                      "--n-paths", "2", "--seed", "3", "--grid-min", "30", "--grid-max", "45",
                      "--grid-points", "3", "--workers", "1", "--output", out]) == 2
         assert "no compatible window lengths remain" in capsys.readouterr().err
+
+
+class TestDefaultWorkers:
+    def test_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("TRAWLPRICE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._default_workers() == 1
+
+    def test_environment_overrides_affinity(self, monkeypatch):
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._default_workers() == 3
 
 
 class TestExitCodes:

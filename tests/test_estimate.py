@@ -378,6 +378,17 @@ class TestFitSignature:
         with pytest.raises(ValueError, match="at least 3"):
             fit_signature(_theoretical_stats(base_params, deltas=[1.0, 2.0]))
 
+    def test_tabulated_family_is_known_but_not_fittable(self, base_params):
+        with pytest.raises(ValueError, match="parametric") as info:
+            fit_signature(_theoretical_stats(base_params), family="tabulated")
+        assert "unknown" not in str(info.value)
+
+    @pytest.mark.parametrize("family", ["exponential", "sup-gamma", "sup-gig"])
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_rejects_non_positive_n_starts(self, base_params, family, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            fit_signature(_theoretical_stats(base_params), family=family, n_starts=n_starts)
+
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_exponential_fit_beats_dense_grid_search(self, base_params, seed):
         # reference optimiser: a dense (b, lambda) grid on the literal
@@ -501,6 +512,19 @@ class TestBootstrap:
             bootstrap(base_params, span=100.0, v0=0, n_paths=1)
         with pytest.raises(ValueError, match="parametric"):
             bootstrap(base_params, span=100.0, v0=0, n_paths=2, family="tabulated")
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"family": "pareto"}, "unknown trawl family"), ({"n_starts": 0}, "n_starts")],
+        ids=["unknown-family", "zero-starts"],
+    )
+    def test_bad_fit_options_rejected_before_simulating(self, base_params, monkeypatch, kwargs, message):
+        def no_simulation(*args, **kw):
+            raise AssertionError("a replica was simulated")
+
+        monkeypatch.setattr(estimate, "simulate_path", no_simulation)
+        with pytest.raises(ValueError, match=message):
+            bootstrap(base_params, span=100.0, v0=0, n_paths=2, n_workers=1, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from trawlprice import (
     bessel_k,
 )
 from trawlprice.model import _invert_decreasing, family_from_params
+from trawlprice.model import _FAMILIES, TrawlFamily
 
 from conftest import BASE_B, BASE_LAM, BASE_NU, quad_area, quad_overlap
 
@@ -439,6 +440,29 @@ class TestFamilyRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown trawl family"):
             family_from_params("pareto", {})
+
+    def test_every_family_class_is_registered_under_its_name(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = list(subclasses(TrawlFamily))
+        assert {cls.name for cls in classes} == set(_FAMILIES)
+        for cls in classes:
+            assert _FAMILIES[cls.name] is cls
+
+    @pytest.mark.parametrize("cls", [c for c in _FAMILIES.values() if c.coords], ids=lambda c: c.name)
+    def test_fit_tables_are_consistent(self, cls):
+        for key, coord in cls.coords.items():
+            lo, hi = coord.bounds
+            box_lo, box_hi = coord.box
+            assert lo <= box_lo < box_hi <= hi, key
+            if coord.log:
+                assert lo > 0.0, key
+
+    def test_only_tabulated_has_no_fit_table(self):
+        assert [name for name, cls in _FAMILIES.items() if not cls.coords] == ["tabulated"]
 
 
 class TestTrawlSpec:
