@@ -390,9 +390,10 @@ _COMMANDS = {
 }
 
 _FLAG_HELP = {
-    "n_starts": "multi-start count of the sup-gamma and sup-gig fits (the exponential fit has no starts)",
-    "fit_seed": "seed of the sup-gamma and sup-gig multi-start (the exponential fit ignores it)",
-    "seed": "random seed (bootstrap also seeds its sup-gamma and sup-gig multi-start fits with it)",
+    "n_starts": "accepted for old configurations and ignored: every fit is one grid search and polish "
+    "(must still be an integer >= 1)",
+    "fit_seed": "accepted for old configurations and ignored: the fit is deterministic",
+    "seed": "random seed (bootstrap seeds its replicas with it)",
 }
 
 _FLAG_TYPES = {

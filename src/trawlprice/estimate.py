@@ -12,7 +12,6 @@ The estimation strategy uses only jump counts and a variance signature:
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import Counter
@@ -215,32 +214,47 @@ def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> Lev
 _B_BOUNDS = (1e-6, 1.0)
 _C_BOUNDS = (_B_BOUNDS[0] / (2.0 - _B_BOUNDS[0]), 1.0)
 
-# log-spaced bracketing grid for the 1-D search: spacing 0.29 in log-lambda
+# grid points per axis, by the number of shape coordinates; the 1-D grid
+# across the exponential's hard bounds has spacing 0.29 in log-lambda
 _GRID_POINTS = 81
+_GRID_POINTS_2D = 61
+_GRID_POINTS_3D = 13
+
+# the grid is evaluated in blocks of rows, which keeps its temporaries in
+# cache; Nelder-Mead runs of a polish share one evaluation budget
+_GRID_BLOCK = 256
+_POLISH_RUNS = 3
+_POLISH_MAXFEV = 40000
 
 
 def _fit_family(name: str, n_starts: int) -> type[TrawlFamily]:
     """The family class a signature fit searches, after the checks that
     :func:`fit_signature` and :func:`bootstrap` share."""
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts!r}")
+    if not (float(n_starts).is_integer() and n_starts >= 1):
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     cls = _family_class(name)
     if not cls.coords:
         raise ValueError(f"fits need a parametric family; {name!r} has no fit coordinates")
     return cls
 
 
-@functools.lru_cache(maxsize=None)
 def _search_space(cls: type[TrawlFamily]):
-    """A family's fit bounds, start box and theta -> family builder, in
-    search coordinates (log scale where the table says so)."""
+    """A family's fit bounds and grid box in search coordinates (log scale
+    where the table says so)."""
     coords = cls.coords.values()
     bounds = tuple(tuple(map(math.log, c.bounds)) if c.log else c.bounds for c in coords)
-    start_box = tuple(tuple(map(math.log, c.box)) if c.log else c.box for c in coords)
-    # generated from the table so that the objective's one construction per
-    # evaluation costs what a hand-written constructor call does
-    args = ", ".join(f"{c.attr}=exp(theta[{i}])" if c.log else f"{c.attr}=theta[{i}]" for i, c in enumerate(coords))
-    return bounds, start_box, eval(f"lambda theta: cls({args})", {"cls": cls, "exp": math.exp})
+    box = tuple(tuple(map(math.log, c.box)) if c.log else c.box for c in coords)
+    return bounds, box
+
+
+def _shape_fields(cls: type[TrawlFamily], theta: np.ndarray) -> list[np.ndarray]:
+    """Constructor fields, one ``(rows, 1)`` column each, for rows of search
+    coordinates.  Log coordinates go through libm's ``exp``: numpy's SIMD
+    ``exp`` differs from it in the last bit for some arguments."""
+    return [
+        np.array([[math.exp(x)] for x in col]) if c.log else col[:, None]
+        for c, col in zip(cls.coords.values(), theta.T)
+    ]
 
 
 @dataclass(frozen=True)
@@ -286,73 +300,93 @@ def _signature_model(spec: TrawlSpec, deltas: np.ndarray, s0: float) -> np.ndarr
     return s0 * (g + c * (1.0 - g))
 
 
-def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[float, float]:
-    """Least-squares ``c`` within its bounds for the curve at profile ratio ``g``.
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each summed as the 1-d ``x @ y`` sums it."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares ``c`` within its bounds for the curve at each row of
+    profile ratios ``g`` (one row per shape).
 
     The objective is a quadratic in ``c``, so clipping the unconstrained
-    projection gives the constrained minimum.  Returns ``(c, objective)``.
+    projection gives the constrained minimum.  Returns ``(c, objective)``,
+    one entry per row; a row with a non-finite ratio has objective inf.
     """
     u = s0 * (1.0 - g)
     a = empirical - s0 * g
-    uu = float(u @ u)
-    c = min(max(float(u @ a) / uu, _C_BOUNDS[0]), _C_BOUNDS[1]) if uu > 0.0 else 1.0
-    r = a - c * u
-    return c, float(r @ r)
+    uu = _rowdot(u, u)  # finite exactly when the row's ratios are, short of overflow
+    positive = uu > 0.0
+    c = _rowdot(u, a) / np.where(positive, uu, 1.0)
+    c = np.where(positive, np.minimum(np.maximum(c, _C_BOUNDS[0]), _C_BOUNDS[1]), 1.0)
+    r = a - c[:, None] * u
+    return c, np.where(np.isfinite(uu), _rowdot(r, r), np.inf)
 
 
-def _grid_brent(objective, lo: float, hi: float):
-    """Minimise a 1-D objective: log-spaced grid, then bounded Brent in the
-    best point's bracket.  Grid points include both bounds, so a minimum
-    pinned at a bound is found exactly."""
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    values = np.array([objective((x,)) for x in grid])
-    i = int(np.argmin(values))
-    res = optimize.minimize_scalar(
-        lambda x: objective((x,)),
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if res.fun < values[i]:
-        return np.array([res.x]), bool(res.success), "brent", str(res.message)
-    return grid[i : i + 1], bool(res.success), "grid", str(res.message)
+def _grid_polish(objective, bounds, box):
+    """Minimise a vectorised objective over rows of shape coordinates.
 
-
-def _multistart(objective, bounds, start_box, n_starts: int, seed: int):
-    """Nelder-Mead from a Latin hypercube of starts, then a polish of the winner."""
-    from scipy.stats import qmc  # importing scipy.stats costs ~0.5 s; only this search needs it
-
-    sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
-    lo, hi = np.array(start_box).T
-    starts = lo + sampler.random(n=n_starts) * (hi - lo)
-    best, kept = None, None
-    for j, x0 in enumerate(starts):
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-6, "fatol": 1e-12, "maxfev": 3000, "maxiter": 3000},
+    The objective is evaluated on a grid spanning the box, a block of rows
+    per call; a best point on an edge of the box that is not a hard bound
+    re-grids once with that side pushed out to the bound.  The best grid
+    point is polished within the bounds: one coordinate by bounded Brent
+    inside its bracket, more by bounded Nelder-Mead, restarted where a run
+    stops while that improves.  Returns the kept point, whether the last
+    polish run converged, and the search's diagnostics.
+    """
+    dim = len(bounds)
+    points = (_GRID_POINTS, _GRID_POINTS_2D, _GRID_POINTS_3D)[dim - 1]
+    size, best = 0, None
+    for _ in range(2):
+        axes = [np.linspace(lo, hi, points) for lo, hi in box]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        values = np.concatenate([objective(grid[j : j + _GRID_BLOCK]) for j in range(0, len(grid), _GRID_BLOCK)])
+        size += values.size
+        i = int(np.argmin(values))
+        where = np.unravel_index(i, (points,) * dim)
+        if best is None or values[i] < best[0]:
+            best = (values[i], axes, where)
+        pushed = tuple(
+            (blo if k == 0 else lo, bhi if k == points - 1 else hi)
+            for (lo, hi), (blo, bhi), k in zip(box, bounds, where)
         )
-        if best is None or res.fun < best.fun:
-            best, kept = res, f"start {j}"
-    # fatol must sit above the objective's own rounding noise (~1e-16
-    # relative) or the spread criterion is unreachable
-    polish = optimize.minimize(
-        objective,
-        best.x,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={
-            "xatol": 1e-11,
-            "fatol": max(1e-24, 1e-12 * best.fun),
-            "maxfev": 40000,
-            "maxiter": 40000,
-        },
-    )
-    if polish.fun <= best.fun:
-        best, kept = polish, "polish"
-    return best.x, bool(best.success), kept, str(best.message)
+        if pushed == box:
+            break
+        box = pushed
+    value, axes, where = best
+    x, fun = np.array([axis[k] for axis, k in zip(axes, where)]), value
+    if dim == 1:
+        axis, k = axes[0], where[0]
+        bracket = (axis[max(k - 1, 0)], axis[min(k + 1, points - 1)])
+        res = optimize.minimize_scalar(
+            lambda t: objective(np.array([[t]]))[0], bounds=bracket, method="bounded", options={"xatol": 1e-10}
+        )
+        if res.fun < fun:
+            x, fun = np.array([res.x]), res.fun
+        name = "brent"
+    else:
+        # each run's first simplex spans one grid cell, inside the bounds; a
+        # fresh one gets a run unstuck that collapsed against a bound or in
+        # a curved valley.  fatol must sit above the objective's rounding
+        # noise (~1e-16 relative) or the spread criterion is unreachable.
+        cell = np.array([axis[1] - axis[0] for axis in axes])
+        upper = np.array([hi for _, hi in bounds])
+        budget = _POLISH_MAXFEV // _POLISH_RUNS
+        for _ in range(_POLISH_RUNS):
+            simplex = np.vstack([x, x + np.diag(np.where(x + cell > upper, -cell, cell))])
+            options = {"initial_simplex": simplex, "xatol": 1e-11, "fatol": max(1e-24, 1e-12 * fun),
+                       "maxfev": budget, "maxiter": budget}
+            res = optimize.minimize(lambda t: objective(t[None])[0], x, method="Nelder-Mead", bounds=bounds,
+                                    options=options)
+            if not res.fun < fun:
+                break
+            x, fun = res.x, res.fun
+        name = "nelder-mead"
+    diagnostics = {
+        "search": f"grid+{name}", "kept": name if fun < value else "grid", "message": str(res.message),
+        "grid_size": size, "grid_objective": float(value),
+    }
+    return x, bool(res.success), diagnostics
 
 
 def fit_signature(
@@ -373,51 +407,42 @@ def fit_signature(
     of the unsquashed profile.  The curve is linear in ``c``, so for each
     shape vector the best ``c`` is a closed-form projection clipped to the
     bounds of ``b`` (variable projection), and only the shape is searched:
+    the objective is evaluated on a grid of shapes spanning the family's
+    box, many shapes per numpy call, then polished from the best grid
+    point (bounded Brent for the exponential's one coordinate, bounded
+    Nelder-Mead for the two of sup-gamma and the three of sup-gig).  The
+    search is deterministic.
 
-    - exponential: log-lambda over a log-spaced bracketing grid across the
-      hard bounds, then bounded Brent inside the best bracket;
-    - sup-gamma and sup-gig: Nelder-Mead from a Latin hypercube of
-      ``n_starts`` starting points (deterministic for a given ``seed``),
-      then a polish of the winner.  ``n_starts`` and ``seed`` are ignored
-      for the exponential family, but ``n_starts`` must be at least 1 for
-      every family.
-
-    The search coordinates, their bounds and the start box come from the
+    The search coordinates, their bounds and the grid box come from the
     family's ``coords`` table; scale parameters are searched on log scale.
-    Returns a :class:`FitResult` whose Levy measure is re-derived from the
-    jump frequencies at the fitted ``b``; ``converged`` reports the search
-    run that produced the kept point.
+    ``n_starts`` and ``seed`` are accepted for compatibility and ignored,
+    but ``n_starts`` must still be an integer >= 1.  Returns a
+    :class:`FitResult` whose Levy measure is re-derived from the jump
+    frequencies at the fitted ``b``; ``converged`` reports the polish.
     """
     cls = _fit_family(family, n_starts)
     if stats.deltas.size < 3:
         raise ValueError("variance signature needs at least 3 grid points")
-    bounds, start_box, build = _search_space(cls)
+    bounds, box = _search_space(cls)
     deltas = stats.deltas
     empirical = stats.variances / deltas
     s0 = stats.second_moment_rate()
     nfev = 0
 
-    def objective(theta) -> float:
+    def profile(theta: np.ndarray) -> np.ndarray:
+        """Profile ratios ``g``, one row per row of search coordinates."""
+        return cls._increment(deltas, *_shape_fields(cls, theta)) / deltas
+
+    def objective(theta: np.ndarray) -> np.ndarray:
         nonlocal nfev
-        nfev += 1
-        try:
-            g = np.asarray(build(theta).increment(deltas)) / deltas
-        except (ValueError, OverflowError):
-            return np.inf
-        if not np.all(np.isfinite(g)):
-            return np.inf
-        return _project(g, empirical, s0)[1]
+        nfev += len(theta)
+        with np.errstate(all="ignore"):  # rejected or extreme shapes score inf
+            return _project(profile(theta), empirical, s0)[1]
 
-    if len(bounds) == 1:
-        theta, converged, kept, message = _grid_brent(objective, *bounds[0])
-        search = "grid+brent"
-    else:
-        theta, converged, kept, message = _multistart(objective, bounds, start_box, n_starts, seed)
-        search = "multistart-nelder-mead"
-
-    theta = np.clip(theta, [lo for lo, _ in bounds], [hi for _, hi in bounds])
-    shape = build(theta)
-    c, _ = _project(np.asarray(shape.increment(deltas)) / deltas, empirical, s0)
+    # the grid and both polishes stay within the hard bounds
+    theta, converged, diagnostics = _grid_polish(objective, bounds, box)
+    shape = cls.from_params({key: f[0, 0] for key, f in zip(cls.coords, _shape_fields(cls, theta[None]))})
+    c = float(_project(profile(theta[None]), empirical, s0)[0][0])
     b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []
     for name, xi, (blo, bhi) in zip(("b", *cls.coords), (b, *theta), [_B_BOUNDS, *bounds]):
@@ -436,7 +461,7 @@ def fit_signature(
         fitted=fitted,
         converged=converged and math.isfinite(value),
         boundary_flags=tuple(flags),
-        diagnostics={"search": search, "nfev": nfev, "kept": kept, "message": message},
+        diagnostics={**diagnostics, "nfev": nfev},
     )
 
 
@@ -451,14 +476,16 @@ def _flatten_estimates(result: FitResult) -> dict[str, float]:
 
 
 def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
-    (params, span, v0, family, seed, index, deltas, r_orders, n_starts) = args
+    (params, span, v0, family, seed, index, deltas, r_orders) = args
     rng = np.random.default_rng([seed, index])
-    path = simulate_path(params, 0.0, span, v0, rng)
     try:
+        path = simulate_path(params, 0.0, span, v0, rng)
         stats = collect_stats(path, deltas, r_orders=r_orders, drop_incompatible=True)
-        fit = fit_signature(stats, family=family, n_starts=n_starts, seed=seed)
+        fit = fit_signature(stats, family=family)
     except ValueError as exc:
         return index, False, {}, str(exc)
+    except Exception as exc:  # a failed replica must not abort the others
+        return index, False, {}, f"{type(exc).__name__}: {exc}"
     if not fit.converged:
         return index, False, {}, f"fit did not converge: {fit.diagnostics['message']}"
     return index, True, _flatten_estimates(fit), None
@@ -504,9 +531,10 @@ def bootstrap(
 
     Each replica ``i`` runs on its own substream ``default_rng([seed, i])``
     so results are identical for any ``n_workers``; replicas that fail to
-    converge are excluded from the summary, counted, and listed with the
-    reason in ``failures``.  ``n_starts`` and ``seed`` also drive the
-    multi-start fits of the sup-gamma and sup-gig families.
+    converge or raise are excluded from the summary, counted, and listed
+    with the reason in ``failures`` (``"<Type>: <text>"`` for exceptions
+    other than ``ValueError``).  ``n_starts`` is validated as in
+    :func:`fit_signature` and otherwise ignored.
     """
     if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
@@ -517,7 +545,7 @@ def bootstrap(
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)
     jobs = [
-        (params, float(span), int(v0), family, int(seed), i, deltas, tuple(r_orders), int(n_starts))
+        (params, float(span), int(v0), family, int(seed), i, deltas, tuple(r_orders))
         for i in range(int(n_paths))
     ]
     if n_workers is not None and n_workers > 1:

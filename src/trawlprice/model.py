@@ -173,7 +173,7 @@ def _invert_decreasing(func, targets, hi0: float = 1.0, rtol: float = 1e-10):
 
 
 class Coord(NamedTuple):
-    """A fit coordinate; bounds and start box are in natural units."""
+    """A fit coordinate; bounds and grid box are in natural units."""
 
     attr: str
     log: bool
@@ -190,8 +190,15 @@ class TrawlFamily(ABC):
 
     ``coords`` maps each wire-format parameter name to its :class:`Coord`:
     the constructor field, whether it is searched on log scale, its hard
-    bounds and its multi-start box.  :meth:`params`, :meth:`from_params`
-    and the signature fit all read it; an empty table is not fittable.
+    bounds and the box its fit grid spans.  :meth:`params`,
+    :meth:`from_params` and the signature fit all read it; an empty table
+    is not fittable.
+
+    A parametric family writes its increment once, as a static
+    ``_increment(t, *fields)`` that broadcasts over arrays of its
+    ``coords`` fields (in table order) and gives nan for shapes the
+    constructor rejects; :meth:`increment` validates ``t`` and calls it,
+    and the signature fit calls it on a whole grid of shapes at once.
     """
 
     name: str = "abstract"
@@ -209,9 +216,13 @@ class TrawlFamily(ABC):
     def overlap(self, t):
         """``integral_t^inf d_tilde(-u) du`` for ``t >= 0``."""
 
-    @abstractmethod
     def increment(self, t):
         """``integral_0^t d_tilde(-u) du`` for ``t >= 0``."""
+        return _match(self._increment(_check_age(t), *self._fields()), t)
+
+    def _fields(self) -> tuple:
+        """The constructor fields named by ``coords``, in table order."""
+        return tuple(getattr(self, c.attr) for c in self.coords.values())
 
     def lifetime_quantile(self, p):
         """Smallest ``t >= 0`` with ``d_tilde(-t) <= 1 - p``, for ``p in [0, 1)``.
@@ -237,7 +248,7 @@ class TrawlFamily(ABC):
 
     def params(self) -> dict:
         """JSON-ready parameter mapping (inverse of :meth:`from_params`)."""
-        return {key: getattr(self, c.attr) for key, c in self.coords.items()}
+        return dict(zip(self.coords, self._fields()))
 
     @classmethod
     def from_params(cls, params: Mapping) -> "TrawlFamily":
@@ -251,7 +262,8 @@ class ExponentialTrawl(TrawlFamily):
 
     lam: float
     name = "exponential"
-    coords = {"lambda": Coord("lam", True, (1e-5, 1e5), (0.01, 100.0))}
+    # one coordinate is cheap enough to grid across its hard bounds
+    coords = {"lambda": Coord("lam", True, (1e-5, 1e5), (1e-5, 1e5))}
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
@@ -270,9 +282,10 @@ class ExponentialTrawl(TrawlFamily):
         t_arr = _check_age(t)
         return _match(np.exp(-self.lam * t_arr) / self.lam, t)
 
-    def increment(self, t):
-        t_arr = _check_age(t)
-        return _match(-np.expm1(-self.lam * t_arr) / self.lam, t)
+    @staticmethod
+    def _increment(t, lam):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(lam > 0.0, -np.expm1(-lam * t) / lam, np.nan)
 
     def lifetime_quantile(self, p):
         p_arr = _check_level(p, "[0,1)")
@@ -326,13 +339,13 @@ class SupGammaTrawl(TrawlFamily):
         t_arr = _check_age(t)
         return _match(self.area() * (1.0 + t_arr / self.alpha) ** (1.0 - self.H), t)
 
-    def increment(self, t):
-        t_arr = _check_age(t)
-        u = np.log1p(t_arr / self.alpha)
-        if self.H == 1.0:
-            return _match(self.alpha * u, t)
-        # alpha * (1 - (1+t/alpha)^(1-H)) / (H-1), written to stay smooth as H -> 1
-        return _match(-self.alpha * np.expm1((1.0 - self.H) * u) / (self.H - 1.0), t)
+    @staticmethod
+    def _increment(t, alpha, H):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.log1p(t / alpha)
+            # alpha * (1 - (1+t/alpha)^(1-H)) / (H-1), written to stay smooth as H -> 1
+            val = np.where(H == 1.0, alpha * u, -alpha * np.expm1((1.0 - H) * u) / (H - 1.0))
+        return np.where((alpha > 0.0) & (H >= 1.0), val, np.nan)
 
     def lifetime_quantile(self, p):
         p_arr = _check_level(p, "[0,1)")
@@ -400,35 +413,44 @@ class SupGigTrawl(TrawlFamily):
         return _match(val, s)
 
     def area(self) -> float:
-        if self.gamma > 0.0:
-            z = self.gamma * self.delta_gig
-            return float(self.gamma / self.delta_gig * sps.kve(self.order - 1.0, z) / sps.kve(self.order, z))
-        return -2.0 * self.order / self.delta_gig**2
+        return float(self._area(*self._fields()))
 
     def overlap(self, t):
-        t_arr = _check_age(t)
-        if self.gamma > 0.0:
-            z = self.gamma * self.delta_gig
-            w = self.delta_gig * np.sqrt(self.gamma**2 + 2.0 * t_arr)
-            y = w / z
-            val = (
-                self.gamma
-                / self.delta_gig
-                * y ** (1.0 - self.order)
-                * (sps.kve(self.order - 1.0, w) / sps.kve(self.order, z))
-                * np.exp(z - w)
-            )
-        else:
-            a = -self.order
-            w = self.delta_gig * np.sqrt(2.0 * t_arr)
-            with np.errstate(invalid="ignore"):
-                val = (2.0 ** (1.0 - a) / sps.gamma(a)) / self.delta_gig**2 * w ** (1.0 + a) * sps.kve(1.0 + a, w) * np.exp(-w)
-            val = np.where(w == 0.0, self.area(), val)
-        return _match(val, t)
+        return _match(self._overlap(_check_age(t), *self._fields()), t)
 
-    def increment(self, t):
-        t_arr = _check_age(t)
-        return _match(self.area() - np.asarray(self.overlap(t_arr)), t)
+    @staticmethod
+    def _area(gamma, delta_gig, order):
+        """:meth:`area`, broadcast over arrays of the fields."""
+        z = gamma * delta_gig
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _branch(
+                gamma > 0.0,
+                lambda: gamma / delta_gig * sps.kve(order - 1.0, z) / sps.kve(order, z),
+                lambda: -2.0 * order / delta_gig**2,
+            )
+
+    @classmethod
+    def _overlap(cls, t, gamma, delta_gig, order):
+        """:meth:`overlap`, broadcast over arrays of the fields."""
+        z = gamma * delta_gig
+        w = delta_gig * np.sqrt(gamma**2 + 2.0 * t)
+        a = -order
+
+        def mixed():
+            y = w / z
+            return gamma / delta_gig * y ** (1.0 - order) * (sps.kve(order - 1.0, w) / sps.kve(order, z)) * np.exp(z - w)
+
+        def heavy():
+            val = (2.0 ** (1.0 - a) / sps.gamma(a)) / delta_gig**2 * w ** (1.0 + a) * sps.kve(1.0 + a, w) * np.exp(-w)
+            return np.where(w == 0.0, cls._area(gamma, delta_gig, order), val)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _branch(gamma > 0.0, mixed, heavy)
+
+    @classmethod
+    def _increment(cls, t, gamma, delta_gig, order):
+        rejected = (gamma < 0.0) | (delta_gig <= 0.0) | ((gamma == 0.0) & (order >= 0.0))
+        return np.where(rejected, np.nan, cls._area(gamma, delta_gig, order) - cls._overlap(t, gamma, delta_gig, order))
 
 
 class TabulatedTrawl(TrawlFamily):
@@ -539,6 +561,16 @@ class TabulatedTrawl(TrawlFamily):
     @classmethod
     def from_params(cls, params: Mapping) -> "TabulatedTrawl":
         return cls(params["s"], params["d_tilde"])
+
+
+def _branch(mask, if_true, if_false):
+    """``np.where(mask, if_true(), if_false())``, calling only the branches
+    that some element of ``mask`` takes."""
+    if np.all(mask):
+        return if_true()
+    if not np.any(mask):
+        return if_false()
+    return np.where(mask, if_true(), if_false())
 
 
 def _check_age(t) -> np.ndarray:

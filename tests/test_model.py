@@ -461,6 +461,44 @@ class TestFamilyRegistry:
             if coord.log:
                 assert lo > 0.0, key
 
+    # shapes per family, in ``coords`` order; the sup-gig rows include the
+    # gamma = 0 limit
+    _SHAPES = {
+        "exponential": [(BASE_LAM,), (1e-5,), (3.7e4,)],
+        "sup-gamma": [(2.0, 1.7), (0.01, 1.0), (350.0, 49.0)],
+        "sup-gig": [(1.0, 0.05, 1.6), (0.0, 0.9, -0.6), (0.3, 2.0, 0.5), (0.0, 1e-3, -7.5), (40.0, 30.0, -10.0)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_broadcast_increment_is_the_instance_increment(self, name):
+        # the fit evaluates a grid of shapes in one call; each row must be
+        # bit for bit what the family instance returns
+        cls = _FAMILIES[name]
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 40)])
+        columns = [np.array(col)[:, None] for col in zip(*self._SHAPES[name])]
+        grid = cls._increment(t, *columns)
+        assert grid.shape == (len(self._SHAPES[name]), t.size)
+        for row, shape in zip(grid, self._SHAPES[name]):
+            assert row.tobytes() == np.asarray(cls(*shape).increment(t)).tobytes(), shape
+
+    @pytest.mark.parametrize(
+        "name,rejected",
+        [
+            ("exponential", [(0.0,), (-1.0,)]),
+            ("sup-gamma", [(1.0, 0.5), (-1.0, 2.0)]),
+            ("sup-gig", [(0.0, 0.9, 0.5), (0.0, 0.9, 0.0), (-1.0, 0.9, 1.0), (1.0, 0.0, 1.0)]),
+        ],
+    )
+    def test_broadcast_increment_gives_nan_for_rejected_shapes(self, name, rejected):
+        cls = _FAMILIES[name]
+        rows = np.array(rejected)
+        with np.errstate(all="raise"):
+            values = cls._increment(np.array([0.0, 0.5, 2.0]), *(col[:, None] for col in rows.T))
+        assert np.isnan(values).all()
+        for shape in rows:
+            with pytest.raises(ValueError):
+                cls(*shape)
+
     def test_only_tabulated_has_no_fit_table(self):
         assert [name for name, cls in _FAMILIES.items() if not cls.coords] == ["tabulated"]
 
