@@ -20,7 +20,9 @@ structural, not data-quality events).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,118 +84,108 @@ def _fmt(x: float) -> str:
 def clean_ticks(records: Sequence[RawTick], config: CleanConfig) -> CleanResult:
     """Run the cleaning pipeline on time-sorted raw records.
 
+    Each rule is one array operation over the record columns, except that
+    a stamp holding several trades is resolved from the price before it.
+
     Raises ``ValueError`` for unsorted input or when fewer than two
     distinct price changes survive (no usable path).
     """
+    fields = itertools.chain.from_iterable(map(operator.attrgetter("log_t", "bid", "ask", "trade"), records))
+    cells = np.fromiter(fields, dtype=object, count=4 * len(records)).reshape(-1, 4)
+    present = np.not_equal(cells, None)  # None is missing; a recorded nan is present
+    log_t, bid, ask, trade = cells.astype(float).T
+    has_trade = present[:, 3]
+    del cells  # n-sized temporaries are freed as soon as they are spent, to bound peak memory
     diagnostics: list[str] = []
-    last = None
-    for rec in records:
-        if not math.isfinite(rec.log_t):
-            raise ValueError(f"record has nonfinite time stamp {rec.log_t!r}")
-        if last is not None and rec.log_t < last:
-            raise ValueError(f"records not sorted by time at t={_fmt(rec.log_t)}")
-        last = rec.log_t
 
-    # step 1: drop trades printing outside [bid - M*tick, ask + M*tick]
-    survivors: list[RawTick] = []
+    bad = ~np.isfinite(log_t)
+    bad[1:] |= log_t[1:] < log_t[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not math.isfinite(log_t[i]):
+            raise ValueError(f"record has nonfinite time stamp {records[i].log_t!r}")
+        raise ValueError(f"records not sorted by time at t={_fmt(log_t[i])}")
+
+    # step 1: drop trades printing outside [bid - M*tick, ask + M*tick] of the latest quotes
     if config.apply_step1:
+        rows = np.arange(log_t.size)[:, None]
+        last_bid, last_ask = np.maximum.accumulate(np.where(present[:, 1:3], rows, -1), axis=0).T
         band = config.m_factor * config.tick_size
-        bid = ask = None
-        for rec in records:
-            if rec.bid is not None:
-                bid = rec.bid
-            if rec.ask is not None:
-                ask = rec.ask
-            if rec.trade is not None and bid is not None and ask is not None:
-                lo, hi = bid - band, ask + band
-                if not (lo <= rec.trade <= hi):
-                    diagnostics.append(
-                        f"step1: t={_fmt(rec.log_t)} dropped trade {_fmt(rec.trade)} "
-                        f"outside band [{_fmt(lo)}, {_fmt(hi)}]"
-                    )
-                    rec = RawTick(
-                        log_t=rec.log_t, bid=rec.bid, bidsz=rec.bidsz,
-                        ask=rec.ask, asksz=rec.asksz, trade=None, tradesz=None,
-                    )
-            survivors.append(rec)
-    else:
-        survivors = list(records)
+        lo, hi = bid[last_bid] - band, ask[last_ask] + band
+        outside = has_trade & (last_bid >= 0) & (last_ask >= 0) & ~((lo <= trade) & (trade <= hi))
+        for i in np.flatnonzero(outside):
+            diagnostics.append(
+                f"step1: t={_fmt(log_t[i])} dropped trade {_fmt(trade[i])} "
+                f"outside band [{_fmt(lo[i])}, {_fmt(hi[i])}]"
+            )
+        has_trade = has_trade & ~outside
+        del rows, last_bid, last_ask, lo, hi
 
     # step 2: trades only
-    trades = [rec for rec in survivors if rec.trade is not None]
-    n_quotes = len(survivors) - len(trades)
+    n_quotes = int(np.count_nonzero(~has_trade))
     if n_quotes:
         diagnostics.append(f"step2: dropped {n_quotes} record(s) without a trade")
 
-    # tick alignment: prices must sit on the grid
-    aligned: list[tuple[float, int]] = []
-    for rec in trades:
-        if not math.isfinite(rec.trade) or rec.trade <= 0.0:
-            diagnostics.append(f"tick-align: t={_fmt(rec.log_t)} rejected nonpositive trade {rec.trade!r}")
-            continue
-        ticks = round(rec.trade / config.tick_size)
-        if abs(rec.trade - ticks * config.tick_size) > 1e-6 * abs(rec.trade):
+    # tick alignment: prices must sit on the grid (np.round rounds half to even, as round does)
+    with np.errstate(invalid="ignore"):
+        ticks = np.round(trade / config.tick_size)
+        off_grid = np.abs(trade - ticks * config.tick_size) > 1e-6 * np.abs(trade)
+    nonpositive = ~(np.isfinite(trade) & (trade > 0.0))
+    rejected = has_trade & (nonpositive | off_grid)
+    for i in np.flatnonzero(rejected):
+        if nonpositive[i]:
+            diagnostics.append(f"tick-align: t={_fmt(log_t[i])} rejected nonpositive trade {records[i].trade!r}")
+        else:
             diagnostics.append(
-                f"tick-align: t={_fmt(rec.log_t)} rejected trade {_fmt(rec.trade)} "
+                f"tick-align: t={_fmt(log_t[i])} rejected trade {_fmt(trade[i])} "
                 f"off the {_fmt(config.tick_size)} grid"
             )
-            continue
-        aligned.append((rec.log_t, int(ticks)))
+    aligned = has_trade & ~rejected
+    if np.any(np.abs(ticks[aligned]) >= 2.0**63):
+        raise ValueError("a trade price exceeds the int64 range of tick counts")
+    t, p = log_t[aligned], ticks[aligned].astype(np.int64)
 
     # step 3: one price per time stamp (exact equality of recorded stamps)
-    times: list[float] = []
-    prices: list[int] = []
-    prev: int | None = None
-    i = 0
-    while i < len(aligned):
-        j = i
-        while j < len(aligned) and aligned[j][0] == aligned[i][0]:
-            j += 1
-        stamp = aligned[i][0]
-        cands = [p for _, p in aligned[i:j]]
-        if len(cands) == 1:
-            price = cands[0]
-        elif prev is not None and len(cands) == 2 and sorted(cands) == [prev - 1, prev + 1]:
+    stamps, starts, counts = np.unique(t, return_index=True, return_counts=True)
+    prices = p[starts]
+    for g in np.flatnonzero(counts > 1):
+        cands = p[starts[g]:starts[g] + counts[g]].tolist()
+        prev = int(prices[g - 1]) if g else None
+        if prev is not None and len(cands) == 2 and sorted(cands) == [prev - 1, prev + 1]:
             # straddle one tick either side of the previous price: no information
             price = prev
             diagnostics.append(
-                f"step3-2: t={_fmt(stamp)} pair {sorted(cands)} straddles previous {prev}; kept {prev}"
+                f"step3-2: t={_fmt(stamps[g])} pair {sorted(cands)} straddles previous {prev}; kept {prev}"
             )
         elif prev is None:
             price = cands[0]
             diagnostics.append(
-                f"step3-1: t={_fmt(stamp)} {len(cands)} candidates {cands}, "
+                f"step3-1: t={_fmt(stamps[g])} {len(cands)} candidates {cands}, "
                 f"no previous price; kept first {price}"
             )
         else:
             price = min(cands, key=lambda c: (abs(c - prev), cands.index(c)))
             diagnostics.append(
-                f"step3-1: t={_fmt(stamp)} {len(cands)} candidates {cands}, "
+                f"step3-1: t={_fmt(stamps[g])} {len(cands)} candidates {cands}, "
                 f"kept {price} (closest to previous {prev})"
             )
-        times.append(stamp)
-        prices.append(price)
-        prev = price
-        i = j
+        prices[g] = price
 
     # step 4: keep only genuine price changes
-    out_t: list[float] = []
-    out_p: list[int] = []
-    for t, p in zip(times, prices):
-        if out_p and p == out_p[-1]:
-            diagnostics.append(f"step4: t={_fmt(t)} dropped repeat price {p}")
-            continue
-        out_t.append(t)
-        out_p.append(p)
+    repeat = np.zeros(prices.size, dtype=bool)
+    repeat[1:] = prices[1:] == prices[:-1]
+    for i in np.flatnonzero(repeat):
+        diagnostics.append(f"step4: t={_fmt(stamps[i])} dropped repeat price {int(prices[i])}")
+    out_t, out_p = stamps[~repeat], prices[~repeat]
 
-    if len(out_p) < 2:
+    if out_p.size < 2:
         raise ValueError("cleaning left fewer than two price changes; no usable path")
     path = PricePath(
-        v0=out_p[0],
-        t_start=out_t[0],
-        t_end=out_t[-1],
-        times=np.asarray(out_t[1:]),
-        jumps=np.diff(np.asarray(out_p, dtype=np.int64)),
+        v0=int(out_p[0]),
+        t_start=float(out_t[0]),
+        t_end=float(out_t[-1]),
+        times=out_t[1:],
+        jumps=np.diff(out_p),
     )
     return CleanResult(path=path, diagnostics=tuple(diagnostics))
 

@@ -400,10 +400,7 @@ class SupGigTrawl(TrawlFamily):
         if np.any(s_arr > 0.0):
             raise ValueError("profile is defined for s <= 0 only")
         if self.gamma > 0.0:
-            z = self.gamma * self.delta_gig
-            w = self.delta_gig * np.sqrt(self.gamma**2 - 2.0 * s_arr)
-            y = w / z
-            val = y ** (-self.order) * (sps.kve(self.order, w) / sps.kve(self.order, z)) * np.exp(z - w)
+            val = self._bessel_ratio(-s_arr, self.gamma, self.delta_gig, self.order, 0.0)
         else:
             a = -self.order
             w = self.delta_gig * np.sqrt(-2.0 * s_arr)
@@ -419,6 +416,17 @@ class SupGigTrawl(TrawlFamily):
         return _match(self._overlap(_check_age(t), *self._fields()), t)
 
     @staticmethod
+    def _bessel_ratio(t, gamma, delta_gig, order, shift):
+        """``(w/z)^(shift-order) K_(order-shift)(w) / K_order(z)``, ``z = gamma*delta``,
+        ``w = delta*sqrt(gamma^2 + 2t)``: the profile at lag ``-t`` (shift 0) or the overlap over
+        ``gamma/delta`` (shift 1), never subtracting ``z`` from ``w`` (13 digits lost at z ~ 1700)."""
+        root = np.sqrt(gamma**2 + 2.0 * t)
+        w_minus_z = 2.0 * delta_gig * t / (root + gamma)
+        log_ratio = 0.5 * np.log1p(2.0 * t / gamma**2)
+        kve_ratio = sps.kve(order - shift, delta_gig * root) / sps.kve(order, gamma * delta_gig)
+        return np.exp((shift - order) * log_ratio - w_minus_z) * kve_ratio
+
+    @staticmethod
     def _area(gamma, delta_gig, order):
         """:meth:`area`, broadcast over arrays of the fields."""
         z = gamma * delta_gig
@@ -432,15 +440,13 @@ class SupGigTrawl(TrawlFamily):
     @classmethod
     def _overlap(cls, t, gamma, delta_gig, order):
         """:meth:`overlap`, broadcast over arrays of the fields."""
-        z = gamma * delta_gig
-        w = delta_gig * np.sqrt(gamma**2 + 2.0 * t)
         a = -order
 
         def mixed():
-            y = w / z
-            return gamma / delta_gig * y ** (1.0 - order) * (sps.kve(order - 1.0, w) / sps.kve(order, z)) * np.exp(z - w)
+            return gamma / delta_gig * cls._bessel_ratio(t, gamma, delta_gig, order, 1.0)
 
         def heavy():
+            w = delta_gig * np.sqrt(2.0 * t)
             val = (2.0 ** (1.0 - a) / sps.gamma(a)) / delta_gig**2 * w ** (1.0 + a) * sps.kve(1.0 + a, w) * np.exp(-w)
             return np.where(w == 0.0, cls._area(gamma, delta_gig, order), val)
 
@@ -592,6 +598,12 @@ def _check_level(p, kind: str) -> np.ndarray:
     return p_arr
 
 
+def _mapping(value, field: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"model JSON field {field!r} must be an object, got {type(value).__name__}")
+    return value
+
+
 _FAMILIES = {cls.name: cls for cls in (ExponentialTrawl, SupGammaTrawl, SupGigTrawl, TabulatedTrawl)}
 
 
@@ -689,9 +701,9 @@ class ModelParams:
     def from_dict(cls, data: Mapping) -> "ModelParams":
         try:
             b = float(data["b"])
-            trawl_block = data["trawl"]
-            family = family_from_params(trawl_block["family"], trawl_block["params"])
-            levy = LevyMeasure({int(k): float(v) for k, v in data["levy"].items()})
+            trawl_block = _mapping(data["trawl"], "trawl")
+            family = family_from_params(trawl_block["family"], _mapping(trawl_block["params"], "trawl.params"))
+            levy = LevyMeasure({int(k): float(v) for k, v in _mapping(data["levy"], "levy").items()})
         except KeyError as exc:
             raise ValueError(f"model JSON is missing required field {exc}") from exc
         return cls(levy=levy, trawl=TrawlSpec(b=b, family=family))

@@ -11,9 +11,9 @@ paths are exact to machine precision.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,12 +277,9 @@ def write_path_csv(path: PricePath, csv_file, sidecar_file) -> None:
     The sidecar carries what the event rows cannot: the starting price,
     the window endpoints, and the seed (null for real data).
     """
-    prices = path.prices
     with open(csv_file, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "price_ticks"])
-        for t, p in zip(path.times, prices):
-            writer.writerow([repr(float(t)), int(p)])
+        fh.write("time,price_ticks\n")
+        fh.writelines(map("{!r},{}\n".format, path.times.tolist(), path.prices.tolist()))
     meta = {"v0": path.v0, "t_start": path.t_start, "t_end": path.t_end, "seed": path.seed}
     with open(sidecar_file, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -293,27 +290,25 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
     """Inverse of :func:`write_path_csv`; lossless round trip."""
     with open(sidecar_file) as fh:
         meta = json.load(fh)
-    times, prices = [], []
-    with open(csv_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["time", "price_ticks"]:
+    with open(csv_file) as fh:
+        header = fh.readline().split(",")
+        if [h.strip() for h in header[:2]] != ["time", "price_ticks"]:
             raise ValueError(f"expected 'time,price_ticks' header in {csv_file}")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            prices.append(int(row[1]))
-    times_arr = np.asarray(times, dtype=float)
-    prices_arr = np.asarray(prices, dtype=np.int64)
+        with warnings.catch_warnings():
+            # a header-only file is an empty path, not a suspicious input
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            times, prices = np.loadtxt(
+                fh, delimiter=",", dtype=[("t", float), ("p", np.int64)],
+                usecols=(0, 1), ndmin=1, comments=None, unpack=True,
+            )
     v0 = int(meta["v0"])
-    jumps = np.diff(np.concatenate([[v0], prices_arr]))
+    jumps = np.diff(np.concatenate([[v0], prices]))
     seed = meta.get("seed")
     return PricePath(
         v0=v0,
         t_start=float(meta["t_start"]),
         t_end=float(meta["t_end"]),
-        times=times_arr,
+        times=np.ascontiguousarray(times),  # a field view would keep the price column alive
         jumps=jumps,
         seed=None if seed is None else int(seed),
     )

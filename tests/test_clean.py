@@ -69,6 +69,27 @@ class TestQuoteBandFilter:
         assert not any(d.startswith("step1:") for d in res.diagnostics)
 
 
+    def test_nan_bid_band_drops_trades_until_next_bid(self):
+        recs = [
+            _quote(0.0, 100.0, 100.5),
+            _trade(1.0, 100.25),
+            RawTick(log_t=2.0, bid=math.nan, ask=100.5),
+            _trade(3.0, 100.0),   # the band [nan, ...] holds no price
+            _quote(4.0, 100.0, 100.5),
+            _trade(5.0, 100.5),
+        ]
+        res = clean_ticks(recs, CFG)
+        assert_array_equal(res.path.prices, [402])
+        assert [d for d in res.diagnostics if d.startswith("step1:")] == [
+            "step1: t=3.0 dropped trade 100.0 outside band [nan, 102.875]"
+        ]
+
+    def test_bid_without_ask_leaves_trades_alone(self):
+        recs = [RawTick(log_t=0.0, bid=100.0), _trade(1.0, 200.0), _trade(2.0, 100.0)]
+        res = clean_ticks(recs, CFG)
+        assert res.path.v0 == 800
+        assert not any(d.startswith("step1:") for d in res.diagnostics)
+
 class TestTradeOnly:
     def test_quotes_summarised_in_one_line(self):
         recs = [_quote(0.0, 1, 2), _quote(0.5, 1, 2), _trade(1.0, 100.0), _trade(2.0, 100.25)]
@@ -90,6 +111,22 @@ class TestTickAlignment:
         assert res.path.n_events == 1
         assert any("nonpositive" in d for d in res.diagnostics)
 
+
+    @pytest.mark.parametrize("cell, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")])
+    def test_nonfinite_trade_rejected(self, tmp_path, cell, shown):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "log_t,bid,bidsz,ask,asksz,trade,tradesz\n"
+            f"0.0,,,,,100.0,1\n1.0,,,,,{cell},1\n2.0,,,,,100.25,1\n"
+        )
+        res = clean_ticks(read_raw_csv(raw), CleanConfig(tick_size=0.25))
+        assert_array_equal(res.path.prices, [401])
+        assert res.diagnostics == (f"tick-align: t=1.0 rejected nonpositive trade {shown}",)
+
+    def test_price_beyond_int64_ticks_rejected(self):
+        recs = [_trade(0.0, 100.0), _trade(1.0, 1e300), _trade(2.0, 100.25)]
+        with pytest.raises(ValueError, match="int64"):
+            clean_ticks(recs, CleanConfig(tick_size=0.25))
 
 class TestDuplicateStamps:
     def test_closest_to_previous_wins(self):
@@ -130,6 +167,24 @@ class TestDuplicateStamps:
         assert res.path.v0 == 401  # first candidate kept, with a diagnostic
         assert any("no previous price" in d for d in res.diagnostics)
 
+
+    def test_straddle_after_a_multi_candidate_stamp(self):
+        recs = [
+            _trade(0.0, 100.0),
+            _trade(1.0, 100.75),
+            _trade(1.0, 100.25),  # closest to 400: resolves t=1 to 401
+            _trade(2.0, 100.5),
+            _trade(2.0, 100.0),   # 402 and 400 straddle 401: keep 401
+            _trade(3.0, 99.0),
+        ]
+        res = clean_ticks(recs, CleanConfig(tick_size=0.25))
+        assert_array_equal(res.path.times, [1.0, 3.0])
+        assert_array_equal(res.path.prices, [401, 396])
+        assert res.diagnostics == (
+            "step3-1: t=1.0 2 candidates [403, 401], kept 401 (closest to previous 400)",
+            "step3-2: t=2.0 pair [400, 402] straddles previous 401; kept 401",
+            "step4: t=2.0 dropped repeat price 401",
+        )
 
 class TestCollapseRepeats:
     def test_adjacent_equal_prices_keep_first(self):

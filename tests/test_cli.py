@@ -357,6 +357,22 @@ class TestExitCodes:
         assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "f.json")]) == 2
         assert "cannot load path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    def test_short_path_row_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,price_ticks\n0.5,101\n1.0\n")
+        (tmp_path / "bad.csv.meta.json").write_text('{"v0": 100, "t_start": 0.0, "t_end": 2.0, "seed": null}')
+        assert main([command, "--input", str(bad), "--output", str(tmp_path / "out")]) == 2
+        assert "cannot load path" in capsys.readouterr().err
+
+    def test_levy_not_an_object_is_data_error(self, tmp_path, base_params, capsys):
+        data = base_params.to_dict()
+        data["levy"] = [1, 2]
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(data))
+        assert main(["pmf", "--params", str(bad), "--t", "1", "--output", str(tmp_path / "pmf.csv")]) == 2
+        assert "cannot load model parameters" in capsys.readouterr().err
+
     def test_unknown_config_key_is_data_error(self, tmp_path, params_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tend": 10}')

@@ -510,6 +510,15 @@ class TestFitSignature:
         assert_allclose([fitted.gamma, fitted.delta_gig, fitted.order], [shape.gamma, shape.delta_gig, shape.order],
                         rtol=1e-6, atol=1e-9)
 
+    def test_sup_gig_fit_converges_in_the_exponential_corner(self, base_params):
+        # an exponential path pulls the sup-gig optimum into the corner
+        # gamma=50, nu=-10 of the bounds, where w - z cancellation in the
+        # Bessel profile once made the objective too noisy to converge
+        path = simulate_path(base_params, 0.0, 75527.97, 7486, 1007)
+        fit = fit_signature(collect_stats(path), family="sup-gig")
+        assert fit.converged
+        assert fit.params.trawl.family.gamma == 50.0
+
     def test_path_scale_recovery(self, base_params):
         # one long simulated path: estimates land near the truth at
         # sampling accuracy (guarded loosely; the Monte Carlo study in the

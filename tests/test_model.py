@@ -295,6 +295,26 @@ class TestSupGigTrawl:
         with pytest.raises(ValueError):
             SupGigTrawl(**kwargs)
 
+    def test_large_z_corner_matches_mpmath(self):
+        # z = gamma*delta = 1700: w - z and (w/z)^order must not be formed
+        # by cancellation; increment = area - overlap cancels by itself, so
+        # its error is measured against the larger of the two
+        gamma, delta, order = 50.0, 34.0, -10.0
+        fam = SupGigTrawl(gamma=gamma, delta_gig=delta, order=order)
+        ts = np.geomspace(0.01, 60.0, 25)
+        want_inc, want_d = [], []
+        with mpmath.workdps(50):
+            g, d, nu = mpmath.mpf(gamma), mpmath.mpf(delta), mpmath.mpf(order)
+            z = g * d
+            for t in ts:
+                w = d * mpmath.sqrt(g**2 + 2 * mpmath.mpf(t))
+                kz = mpmath.besselk(nu, z)
+                overlap_gap = mpmath.besselk(nu - 1, z) - (w / z) ** (1 - nu) * mpmath.besselk(nu - 1, w)
+                want_inc.append(float(g / d * overlap_gap / kz))
+                want_d.append(float((w / z) ** -nu * mpmath.besselk(nu, w) / kz))
+        assert_allclose(fam.d_tilde(-ts), want_d, rtol=1e-14, atol=0.0)
+        assert_allclose(fam.increment(ts), want_inc, rtol=1e-14, atol=1e-14 * fam.area())
+
     @given(p=st.floats(1e-4, 1 - 1e-4))
     @settings(max_examples=25, deadline=None)
     def test_lifetime_quantile_inverts_profile(self, p):
@@ -563,6 +583,16 @@ class TestModelParams:
             f = tmp_path / f"{fam.name}.json"
             params.to_json(f)
             assert ModelParams.from_json(f).trawl.family == fam
+
+    @pytest.mark.parametrize("field", ["trawl", "trawl.params", "levy"])
+    def test_non_object_block_rejected(self, base_params, field):
+        data = base_params.to_dict()
+        if field == "trawl.params":
+            data["trawl"]["params"] = [0.5]
+        else:
+            data[field] = [1, 2]
+        with pytest.raises(ValueError, match=f"'{field}' must be an object"):
+            ModelParams.from_dict(data)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing required field"):

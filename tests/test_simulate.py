@@ -6,6 +6,7 @@ survivor count was computed independently before implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,3 +366,22 @@ class TestPathCsv:
         meta.write_text('{"v0": 0, "t_start": 0.0, "t_end": 2.0, "seed": null}')
         with pytest.raises(ValueError, match="header"):
             read_path_csv(csv_file, meta)
+
+    @pytest.mark.parametrize("row", ["1.0", "1.0,x", "1.0,2.5", "#1.0,3", "1.0,99999999999999999999"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        csv_file = tmp_path / "bad.csv"
+        csv_file.write_text(f"time,price_ticks\n0.5,1\n{row}\n")
+        meta = tmp_path / "bad.meta.json"
+        meta.write_text('{"v0": 0, "t_start": 0.0, "t_end": 2.0, "seed": null}')
+        with pytest.raises(ValueError):
+            read_path_csv(csv_file, meta)
+
+    def test_header_only_file_is_an_empty_path(self, tmp_path):
+        csv_file = tmp_path / "empty.csv"
+        csv_file.write_text("time,price_ticks\n")
+        meta = tmp_path / "empty.meta.json"
+        meta.write_text('{"v0": 5, "t_start": 0.0, "t_end": 2.0, "seed": null}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = read_path_csv(csv_file, meta)
+        assert path.n_events == 0 and path.v0 == 5
