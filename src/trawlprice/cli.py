@@ -20,17 +20,17 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .clean import CleanConfig, clean_ticks, read_raw_csv
-from .estimate import _signature_model, bootstrap, collect_stats, fit_signature, variance_grid
+from .estimate import bootstrap, collect_stats, fit_signature, variance_grid
 from .model import ModelParams
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
-from .theory import return_pmf
+from .theory import return_cumulant, return_pmf
 
 __all__ = ["main", "RunManifest"]
 
@@ -54,15 +54,7 @@ class RunManifest:
     runtime_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-            "runtime_s": self.runtime_s,
-        }
+        return asdict(self)
 
 
 @contextlib.contextmanager
@@ -210,7 +202,7 @@ def _cmd_fit(cfg: dict) -> int:
     grid = _grid_from_cfg(cfg)
     try:
         stats = collect_stats(path, grid, drop_incompatible=True)
-        fit = fit_signature(stats, family=cfg["family"], n_starts=int(cfg["n_starts"]), seed=int(cfg["fit_seed"]))
+        fit = fit_signature(stats, family=cfg["family"])
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     _atomic_json(cfg["output"], fit.to_dict())
@@ -273,7 +265,7 @@ def _cmd_signature(cfg: dict) -> int:
     inputs = [cfg["input"]]
     if cfg.get("fitted_params"):
         params = _load_params(cfg["fitted_params"])
-        fitted = _signature_model(params.trawl, deltas, (2.0 - params.b) * params.levy.cumulant(2))
+        fitted = [return_cumulant(params, d, 2) / d for d in deltas]
         inputs.append(cfg["fitted_params"])
     _atomic_write_text(
         cfg["output"], _csv_text(["delta", "empirical", "fitted"], _signature_rows(deltas, empirical, fitted))
@@ -296,7 +288,6 @@ def _cmd_bootstrap(cfg: dict) -> int:
             family=family,
             seed=int(cfg["seed"]),
             deltas=_grid_from_cfg(cfg),
-            n_starts=int(cfg["n_starts"]),
             n_workers=int(cfg["workers"]),
         )
     except (ValueError, RuntimeError) as exc:
@@ -359,8 +350,8 @@ _COMMANDS = {
     "fit": (
         _cmd_fit,
         {
-            "input": None, "sidecar": None, "family": "exponential", "n_starts": 20, "fit_seed": 0,
-            "signature_output": None, "output": None, **_GRID_DEFAULTS,
+            "input": None, "sidecar": None, "family": "exponential", "signature_output": None,
+            "output": None, **_GRID_DEFAULTS,
         },
         ("input", "output"),
     ),
@@ -383,24 +374,19 @@ _COMMANDS = {
         _cmd_bootstrap,
         {
             "params": None, "span": None, "v0": None, "n_paths": None, "family": None, "seed": None,
-            "n_starts": 20, "workers": _default_workers(), "output": None, **_GRID_DEFAULTS,
+            "workers": _default_workers(), "output": None, **_GRID_DEFAULTS,
         },
         ("params", "span", "v0", "n_paths", "seed", "output"),
     ),
 }
 
-_FLAG_HELP = {
-    "n_starts": "accepted for old configurations and ignored: every fit is one grid search and polish "
-    "(must still be an integer >= 1)",
-    "fit_seed": "accepted for old configurations and ignored: the fit is deterministic",
-    "seed": "random seed (bootstrap seeds its replicas with it)",
-}
+_FLAG_HELP = {"seed": "random seed (bootstrap seeds its replicas with it)"}
 
 _FLAG_TYPES = {
     "t_start": float, "t_end": float, "v0": int, "seed": int, "tick_size": float,
     "m_factor": float, "grid_min": float, "grid_max": float, "grid_points": int,
-    "n_starts": int, "fit_seed": int, "t": float, "n_points": int, "delta": float,
-    "k_max": int, "span": float, "n_paths": int, "workers": int,
+    "t": float, "n_points": int, "delta": float, "k_max": int, "span": float, "n_paths": int,
+    "workers": int,
 }
 
 
@@ -420,6 +406,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# options of the old multi-start fit that earlier manifests record; a
+# loaded config drops them so those manifests still replay
+_RETIRED_KEYS = ("n_starts", "fit_seed")
+
+
 def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
     cfg = dict(defaults)
     if args.config is not None:
@@ -432,6 +423,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
             loaded = loaded["config"]  # accept a run manifest
         if not isinstance(loaded, dict):
             raise _CliError(f"config {args.config} must hold a JSON object")
+        loaded = {k: v for k, v in loaded.items() if k not in _RETIRED_KEYS}
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise _CliError(f"config {args.config} has unknown key(s) {unknown}")

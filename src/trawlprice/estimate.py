@@ -23,7 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class
-from .simulate import PricePath, realized_pv, simulate_path, window_index
+from .simulate import PricePath, _window_sums, realized_pv, simulate_path
 
 __all__ = [
     "DEFAULT_GRID",
@@ -130,7 +130,7 @@ def variance_grid(
         raise ValueError("window lengths must be strictly increasing")
     out_d, out_v, out_n = [], [], []
     for delta in d_arr:
-        n = int(math.floor(path.span / delta))
+        n, _, sums = _window_sums(path, delta)
         if n < 2:
             if drop_incompatible:
                 warnings.warn(
@@ -138,10 +138,6 @@ def variance_grid(
                 )
                 continue
             raise ValueError(f"window length {delta!r} admits fewer than 2 full windows")
-        k = window_index(path.times, path.t_start, delta)
-        m = int(np.searchsorted(k, n, side="right"))  # events in full windows
-        k = k[:m]
-        sums = np.add.reduceat(path.jumps[:m], np.flatnonzero(np.diff(k, prepend=0)))
         # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
         total, squares = int(sums.sum()), int(np.dot(sums, sums))
         out_d.append(delta)
@@ -227,11 +223,9 @@ _POLISH_RUNS = 3
 _POLISH_MAXFEV = 40000
 
 
-def _fit_family(name: str, n_starts: int) -> type[TrawlFamily]:
+def _fit_family(name: str) -> type[TrawlFamily]:
     """The family class a signature fit searches, after the checks that
     :func:`fit_signature` and :func:`bootstrap` share."""
-    if not (float(n_starts).is_integer() and n_starts >= 1):
-        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     cls = _family_class(name)
     if not cls.coords:
         raise ValueError(f"fits need a parametric family; {name!r} has no fit coordinates")
@@ -289,29 +283,19 @@ class FitResult:
         return out
 
 
-def _signature_model(spec: TrawlSpec, deltas: np.ndarray, s0: float) -> np.ndarray:
-    """Model variance per unit time on the grid for second-moment rate s0.
-
-    ``s0 * (g + c (1 - g))`` with ``g = increment(delta) / delta`` of the
-    unsquashed profile and ``c = b / (2 - b)``.
-    """
-    g = np.asarray(spec.family.increment(deltas)) / deltas
-    c = spec.b / (2.0 - spec.b)
-    return s0 * (g + c * (1.0 - g))
-
-
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each summed as the 1-d ``x @ y`` sums it."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarray, np.ndarray]:
+def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares ``c`` within its bounds for the curve at each row of
     profile ratios ``g`` (one row per shape).
 
     The objective is a quadratic in ``c``, so clipping the unconstrained
-    projection gives the constrained minimum.  Returns ``(c, objective)``,
-    one entry per row; a row with a non-finite ratio has objective inf.
+    projection gives the constrained minimum.  Returns ``(c, residuals,
+    objective)``, one row or entry per shape, the residuals being
+    ``empirical - curve``; a row with a non-finite ratio has objective inf.
     """
     u = s0 * (1.0 - g)
     a = empirical - s0 * g
@@ -320,7 +304,7 @@ def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarra
     c = _rowdot(u, a) / np.where(positive, uu, 1.0)
     c = np.where(positive, np.minimum(np.maximum(c, _C_BOUNDS[0]), _C_BOUNDS[1]), 1.0)
     r = a - c[:, None] * u
-    return c, np.where(np.isfinite(uu), _rowdot(r, r), np.inf)
+    return c, r, np.where(np.isfinite(uu), _rowdot(r, r), np.inf)
 
 
 def _grid_polish(objective, bounds, box):
@@ -393,7 +377,6 @@ def fit_signature(
     stats: EmpiricalStats,
     family: str = "exponential",
     n_starts: int = 20,
-    seed: int = 0,
 ) -> FitResult:
     """Fit ``b`` and a trawl family to the empirical variance signature.
 
@@ -415,12 +398,16 @@ def fit_signature(
 
     The search coordinates, their bounds and the grid box come from the
     family's ``coords`` table; scale parameters are searched on log scale.
-    ``n_starts`` and ``seed`` are accepted for compatibility and ignored,
-    but ``n_starts`` must still be an integer >= 1.  Returns a
+    ``n_starts`` is ignored but must still be an integer >= 1; it stays
+    only because the benchmark's workloads and tests pass it.  Returns a
     :class:`FitResult` whose Levy measure is re-derived from the jump
-    frequencies at the fitted ``b``; ``converged`` reports the polish.
+    frequencies at the fitted ``b``, and whose ``fitted`` curve and
+    ``objective`` are those of the kept shape; ``converged`` reports the
+    polish.
     """
-    cls = _fit_family(family, n_starts)
+    if not (float(n_starts).is_integer() and n_starts >= 1):
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    cls = _fit_family(family)
     if stats.deltas.size < 3:
         raise ValueError("variance signature needs at least 3 grid points")
     bounds, box = _search_space(cls)
@@ -437,12 +424,13 @@ def fit_signature(
         nonlocal nfev
         nfev += len(theta)
         with np.errstate(all="ignore"):  # rejected or extreme shapes score inf
-            return _project(profile(theta), empirical, s0)[1]
+            return _project(profile(theta), empirical, s0)[2]
 
     # the grid and both polishes stay within the hard bounds
     theta, converged, diagnostics = _grid_polish(objective, bounds, box)
     shape = cls.from_params({key: f[0, 0] for key, f in zip(cls.coords, _shape_fields(cls, theta[None]))})
-    c = float(_project(profile(theta[None]), empirical, s0)[0][0])
+    cs, residuals, values = _project(profile(theta[None]), empirical, s0)
+    c, value = float(cs[0]), float(values[0])
     b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []
     for name, xi, (blo, bhi) in zip(("b", *cls.coords), (b, *theta), [_B_BOUNDS, *bounds]):
@@ -451,14 +439,12 @@ def fit_signature(
             flags.append(name)
     spec = TrawlSpec(b=b, family=shape)
     levy = levy_from_moments(stats.alpha, stats.beta[0.0], b)
-    fitted = _signature_model(spec, deltas, s0)
-    value = float(np.sum((fitted - empirical) ** 2))
     return FitResult(
         params=ModelParams(levy=levy, trawl=spec),
         objective=value,
         deltas=deltas.copy(),
         empirical=empirical,
-        fitted=fitted,
+        fitted=empirical - residuals[0],
         converged=converged and math.isfinite(value),
         boundary_flags=tuple(flags),
         diagnostics={**diagnostics, "nfev": nfev},
@@ -524,7 +510,6 @@ def bootstrap(
     seed: int = 0,
     deltas=None,
     r_orders: Sequence[float] = (0.0, 1.0, 2.0),
-    n_starts: int = 20,
     n_workers: int | None = None,
 ) -> BootstrapResult:
     """Parametric bootstrap: simulate, re-estimate, summarise the spread.
@@ -533,14 +518,13 @@ def bootstrap(
     so results are identical for any ``n_workers``; replicas that fail to
     converge or raise are excluded from the summary, counted, and listed
     with the reason in ``failures`` (``"<Type>: <text>"`` for exceptions
-    other than ``ValueError``).  ``n_starts`` is validated as in
-    :func:`fit_signature` and otherwise ignored.
+    other than ``ValueError``).
     """
     if int(n_paths) != n_paths or n_paths < 2:
         raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
     if family is None:
         family = params.trawl.family.name
-    _fit_family(family, n_starts)
+    _fit_family(family)
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)

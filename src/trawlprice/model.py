@@ -185,8 +185,9 @@ class TrawlFamily(ABC):
     """Normalised trawl depth profile ``d_tilde`` with its integrals.
 
     Subclasses describe the profile *before* squashing: ``d_tilde(0) = 1``
-    and ``d_tilde`` is nonincreasing into the past.  All methods accept
-    scalars or arrays.
+    and ``d_tilde`` is nonincreasing into the past.  The public methods
+    are defined here once: they accept scalars or arrays, validate them,
+    and return a float for a scalar and an array otherwise.
 
     ``coords`` maps each wire-format parameter name to its :class:`Coord`:
     the constructor field, whether it is searched on log scale, its hard
@@ -194,27 +195,31 @@ class TrawlFamily(ABC):
     :meth:`from_params` and the signature fit all read it; an empty table
     is not fittable.
 
-    A parametric family writes its increment once, as a static
-    ``_increment(t, *fields)`` that broadcasts over arrays of its
-    ``coords`` fields (in table order) and gives nan for shapes the
-    constructor rejects; :meth:`increment` validates ``t`` and calls it,
-    and the signature fit calls it on a whole grid of shapes at once.
+    A family writes only array kernels, each called with the validated
+    array followed by the ``coords`` fields in table order (none for a
+    family without a table): ``_d_tilde(s)``, ``_area()``,
+    ``_overlap(t)`` and ``_increment(t)``, plus ``_lifetime(p)`` and
+    ``_residual(q)`` where a closed form beats the default bisection.  A
+    parametric family writes ``_increment`` as a static method that
+    broadcasts over arrays of its fields and gives nan for shapes the
+    constructor rejects: the signature fit calls it on a whole grid of
+    shapes at once.
     """
 
     name: str = "abstract"
     coords: ClassVar[dict[str, Coord]] = {}
 
-    @abstractmethod
     def d_tilde(self, s):
         """Profile value at time lag ``s <= 0``."""
+        return _match(self._d_tilde(_check_lag(s), *self._fields()), s)
 
-    @abstractmethod
     def area(self) -> float:
         """``integral_0^inf d_tilde(-u) du`` (may raise if infinite)."""
+        return float(self._area(*self._fields()))
 
-    @abstractmethod
     def overlap(self, t):
         """``integral_t^inf d_tilde(-u) du`` for ``t >= 0``."""
+        return _match(self._overlap(_check_age(t), *self._fields()), t)
 
     def increment(self, t):
         """``integral_0^t d_tilde(-u) du`` for ``t >= 0``."""
@@ -232,8 +237,7 @@ class TrawlFamily(ABC):
         uniform height survives past age ``t``.
         """
         p_arr = _check_level(p, "[0,1)")
-        out = _invert_decreasing(lambda t: self.d_tilde(-t), 1.0 - np.atleast_1d(p_arr))
-        return _match(out.reshape(np.shape(p)), p)
+        return _match(np.reshape(self._lifetime(p_arr, *self._fields()), np.shape(p)), p)
 
     def residual_quantile(self, q):
         """Invert the stationary residual-lifetime survival ``overlap(t)/area``.
@@ -242,9 +246,31 @@ class TrawlFamily(ABC):
         used to seed moves already alive at the start of a simulation window.
         """
         q_arr = _check_level(q, "(0,1]")
-        a = self.area()
-        out = _invert_decreasing(lambda t: self.overlap(t), a * np.atleast_1d(q_arr))
-        return _match(out.reshape(np.shape(q)), q)
+        return _match(np.reshape(self._residual(q_arr, *self._fields()), np.shape(q)), q)
+
+    @abstractmethod
+    def _d_tilde(self, s, *fields):
+        """Profile at lags ``s <= 0``."""
+
+    @abstractmethod
+    def _area(self, *fields):
+        """Profile integral; raises where it is infinite."""
+
+    @abstractmethod
+    def _overlap(self, t, *fields):
+        """Profile integral beyond ages ``t >= 0``."""
+
+    @abstractmethod
+    def _increment(self, t, *fields):
+        """Profile integral up to ages ``t >= 0``."""
+
+    def _lifetime(self, p, *fields):
+        """Lifetime quantiles by bisection on the profile."""
+        return _invert_decreasing(lambda t: self._d_tilde(-t, *fields), 1.0 - np.atleast_1d(p))
+
+    def _residual(self, q, *fields):
+        """Residual-lifetime quantiles by bisection on the overlap."""
+        return _invert_decreasing(lambda t: self._overlap(t, *fields), self._area(*fields) * np.atleast_1d(q))
 
     def params(self) -> dict:
         """JSON-ready parameter mapping (inverse of :meth:`from_params`)."""
@@ -269,31 +295,30 @@ class ExponentialTrawl(TrawlFamily):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"decay rate must be finite and > 0, got {self.lam!r}")
 
-    def d_tilde(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr > 0.0):
-            raise ValueError("profile is defined for s <= 0 only")
-        return _match(np.exp(self.lam * s_arr), s)
+    @staticmethod
+    def _d_tilde(s, lam):
+        return np.exp(lam * s)
 
-    def area(self) -> float:
-        return 1.0 / self.lam
+    @staticmethod
+    def _area(lam):
+        return 1.0 / lam
 
-    def overlap(self, t):
-        t_arr = _check_age(t)
-        return _match(np.exp(-self.lam * t_arr) / self.lam, t)
+    @staticmethod
+    def _overlap(t, lam):
+        return np.exp(-lam * t) / lam
 
     @staticmethod
     def _increment(t, lam):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(lam > 0.0, -np.expm1(-lam * t) / lam, np.nan)
 
-    def lifetime_quantile(self, p):
-        p_arr = _check_level(p, "[0,1)")
-        return _match(-np.log1p(-p_arr) / self.lam, p)
+    @staticmethod
+    def _lifetime(p, lam):
+        return -np.log1p(-p) / lam
 
-    def residual_quantile(self, q):
-        q_arr = _check_level(q, "(0,1]")
-        return _match(-np.log(q_arr) / self.lam, q)
+    @staticmethod
+    def _residual(q, lam):
+        return -np.log(q) / lam
 
 
 @dataclass(frozen=True)
@@ -320,24 +345,19 @@ class SupGammaTrawl(TrawlFamily):
         if not (math.isfinite(self.H) and self.H >= 1.0):
             raise ValueError(f"tail index H must be finite and >= 1, got {self.H!r}")
 
-    def _require_finite_area(self):
-        if self.H <= 1.0:
+    @staticmethod
+    def _d_tilde(s, alpha, H):
+        return (1.0 - s / alpha) ** (-H)
+
+    @staticmethod
+    def _area(alpha, H):
+        if H <= 1.0:
             raise ValueError("trawl area is infinite for H <= 1")
+        return alpha / (H - 1.0)
 
-    def d_tilde(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr > 0.0):
-            raise ValueError("profile is defined for s <= 0 only")
-        return _match((1.0 - s_arr / self.alpha) ** (-self.H), s)
-
-    def area(self) -> float:
-        self._require_finite_area()
-        return self.alpha / (self.H - 1.0)
-
-    def overlap(self, t):
-        self._require_finite_area()
-        t_arr = _check_age(t)
-        return _match(self.area() * (1.0 + t_arr / self.alpha) ** (1.0 - self.H), t)
+    @classmethod
+    def _overlap(cls, t, alpha, H):
+        return cls._area(alpha, H) * (1.0 + t / alpha) ** (1.0 - H)
 
     @staticmethod
     def _increment(t, alpha, H):
@@ -347,14 +367,14 @@ class SupGammaTrawl(TrawlFamily):
             val = np.where(H == 1.0, alpha * u, -alpha * np.expm1((1.0 - H) * u) / (H - 1.0))
         return np.where((alpha > 0.0) & (H >= 1.0), val, np.nan)
 
-    def lifetime_quantile(self, p):
-        p_arr = _check_level(p, "[0,1)")
-        return _match(self.alpha * np.expm1(-np.log1p(-p_arr) / self.H), p)
+    @staticmethod
+    def _lifetime(p, alpha, H):
+        return alpha * np.expm1(-np.log1p(-p) / H)
 
-    def residual_quantile(self, q):
-        self._require_finite_area()
-        q_arr = _check_level(q, "(0,1]")
-        return _match(self.alpha * np.expm1(-np.log(q_arr) / (self.H - 1.0)), q)
+    @classmethod
+    def _residual(cls, q, alpha, H):
+        cls._area(alpha, H)  # the residual law needs a finite area
+        return alpha * np.expm1(-np.log(q) / (H - 1.0))
 
 
 @dataclass(frozen=True)
@@ -372,7 +392,7 @@ class SupGigTrawl(TrawlFamily):
     ``2 (w/2)^|order| K_|order|(w) / Gamma(|order|)`` with
     ``w = delta_gig * sqrt(-2 s)``.  All Bessel evaluations use the
     exponentially scaled ``kve`` so large arguments underflow gracefully
-    instead of destroying precision.
+    instead of destroying precision.  Quantiles use the default bisection.
     """
 
     gamma: float
@@ -395,25 +415,15 @@ class SupGigTrawl(TrawlFamily):
         if self.gamma == 0.0 and self.order >= 0.0:
             raise ValueError("gamma = 0 requires a negative order")
 
-    def d_tilde(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr > 0.0):
-            raise ValueError("profile is defined for s <= 0 only")
-        if self.gamma > 0.0:
-            val = self._bessel_ratio(-s_arr, self.gamma, self.delta_gig, self.order, 0.0)
-        else:
-            a = -self.order
-            w = self.delta_gig * np.sqrt(-2.0 * s_arr)
-            with np.errstate(invalid="ignore"):
-                val = (2.0 ** (1.0 - a) / sps.gamma(a)) * w**a * sps.kve(a, w) * np.exp(-w)
-            val = np.where(w == 0.0, 1.0, val)
-        return _match(val, s)
-
-    def area(self) -> float:
-        return float(self._area(*self._fields()))
-
-    def overlap(self, t):
-        return _match(self._overlap(_check_age(t), *self._fields()), t)
+    @classmethod
+    def _d_tilde(cls, s, gamma, delta_gig, order):
+        if gamma > 0.0:
+            return cls._bessel_ratio(-s, gamma, delta_gig, order, 0.0)
+        a = -order
+        w = delta_gig * np.sqrt(-2.0 * s)
+        with np.errstate(invalid="ignore"):
+            val = (2.0 ** (1.0 - a) / sps.gamma(a)) * w**a * sps.kve(a, w) * np.exp(-w)
+        return np.where(w == 0.0, 1.0, val)
 
     @staticmethod
     def _bessel_ratio(t, gamma, delta_gig, order, shift):
@@ -428,7 +438,6 @@ class SupGigTrawl(TrawlFamily):
 
     @staticmethod
     def _area(gamma, delta_gig, order):
-        """:meth:`area`, broadcast over arrays of the fields."""
         z = gamma * delta_gig
         with np.errstate(divide="ignore", invalid="ignore"):
             return _branch(
@@ -439,7 +448,6 @@ class SupGigTrawl(TrawlFamily):
 
     @classmethod
     def _overlap(cls, t, gamma, delta_gig, order):
-        """:meth:`overlap`, broadcast over arrays of the fields."""
         a = -order
 
         def mixed():
@@ -500,34 +508,25 @@ class TabulatedTrawl(TrawlFamily):
             and np.array_equal(self._d, other._d)
         )
 
-    def d_tilde(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr > 0.0):
-            raise ValueError("profile is defined for s <= 0 only")
-        val = np.interp(s_arr, self._s, self._d)
-        val = np.where(s_arr < self._s[0], 0.0, val)
-        return _match(val, s)
+    def _d_tilde(self, s):
+        return np.where(s < self._s[0], 0.0, np.interp(s, self._s, self._d))
 
-    def area(self) -> float:
-        return float(self._cum[0])
+    def _area(self):
+        return self._cum[0]
 
-    def increment(self, t):
-        t_arr = _check_age(t)
-        s_q = np.maximum(-t_arr, self._s[0])
+    def _increment(self, t):
+        s_q = np.maximum(-t, self._s[0])
         # integral_{s_q}^{0}: locate segment, add the partial trapezoid
         j = np.clip(np.searchsorted(self._s, s_q, side="right") - 1, 0, self._s.size - 2)
         h = self._s[j + 1] - s_q
         d_at = np.interp(s_q, self._s, self._d)
-        val = self._cum[j + 1] + h * (d_at + self._d[j + 1]) / 2.0
-        return _match(val, t)
+        return self._cum[j + 1] + h * (d_at + self._d[j + 1]) / 2.0
 
-    def overlap(self, t):
-        t_arr = _check_age(t)
-        return _match(self.area() - np.asarray(self.increment(t_arr)), t)
+    def _overlap(self, t):
+        return self._cum[0] - self._increment(t)
 
-    def lifetime_quantile(self, p):
-        p_arr = _check_level(p, "[0,1)")
-        v = 1.0 - np.atleast_1d(p_arr)
+    def _lifetime(self, p):
+        v = 1.0 - np.atleast_1d(p)
         idx = np.searchsorted(self._d, v, side="right")  # first knot with value > v
         out = np.empty(v.shape)
         out[idx == 0] = -self._s[0]  # below the tabulated range: truncated tail
@@ -540,11 +539,10 @@ class TabulatedTrawl(TrawlFamily):
             frac = (vm - dj) / (dj1 - dj)
         s_star = np.where(dj == vm, self._s[j], self._s[j] + frac * (self._s[j + 1] - self._s[j]))
         out[mid] = -s_star
-        return _match(out.reshape(np.shape(p)), p)
+        return out
 
-    def residual_quantile(self, q):
-        q_arr = _check_level(q, "(0,1]")
-        target = (1.0 - np.atleast_1d(q_arr)) * self.area()  # increment(t) to hit
+    def _residual(self, q):
+        target = (1.0 - np.atleast_1d(q)) * self._cum[0]  # increment(t) to hit
         # self._cum decreases along the knots; bracket the containing segment
         idx = np.searchsorted(self._cum[::-1], target, side="left")
         j = np.clip(self._cum.size - 1 - idx, 0, self._s.size - 2)
@@ -558,8 +556,7 @@ class TabulatedTrawl(TrawlFamily):
         denom = dj1 + disc
         h = np.where(denom > 0.0, 2.0 * need / np.where(denom > 0.0, denom, 1.0), 0.0)
         h = np.clip(h, 0.0, width)
-        out = -(self._s[j + 1] - h)
-        return _match(out.reshape(np.shape(q)), q)
+        return -(self._s[j + 1] - h)
 
     def params(self) -> dict:
         return {"s": self._s.tolist(), "d_tilde": self._d.tolist()}
@@ -577,6 +574,13 @@ def _branch(mask, if_true, if_false):
     if not np.any(mask):
         return if_false()
     return np.where(mask, if_true(), if_false())
+
+
+def _check_lag(s) -> np.ndarray:
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr > 0.0):
+        raise ValueError("profile is defined for s <= 0 only")
+    return s_arr
 
 
 def _check_age(t) -> np.ndarray:
@@ -645,10 +649,7 @@ class TrawlSpec:
     def d(self, s):
         """Squashed depth ``b + (1-b) * d_tilde(s)`` at lag ``s <= 0``."""
         if self.b == 1.0:
-            s_arr = np.asarray(s, dtype=float)
-            if np.any(s_arr > 0.0):
-                raise ValueError("profile is defined for s <= 0 only")
-            return _match(np.ones_like(s_arr), s)
+            return _match(np.ones_like(_check_lag(s)), s)
         return _match(self.b + (1.0 - self.b) * np.asarray(self.family.d_tilde(s)), s)
 
     def leb_area(self) -> float:

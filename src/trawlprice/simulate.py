@@ -238,6 +238,18 @@ def window_index(times, t_start: float, delta: float) -> np.ndarray:
     return np.ceil((np.asarray(times, dtype=float) - t_start) / delta).astype(np.int64)
 
 
+def _window_sums(path: PricePath, delta: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The full windows of :func:`window_index` at one length: their count
+    ``n``, the indices of those holding events and their integer sums.
+    Cost and memory are O(events)."""
+    n = int(math.floor(path.span / delta))
+    k = window_index(path.times, path.t_start, delta)
+    m = int(np.searchsorted(k, n, side="right"))  # events in full windows
+    k = k[:m]
+    starts = np.flatnonzero(np.diff(k, prepend=0))
+    return n, k[starts], np.add.reduceat(path.jumps[:m], starts)
+
+
 def returns_at(path: PricePath, delta: float) -> np.ndarray:
     """Integer returns over the windows of :func:`window_index`.
 
@@ -247,13 +259,12 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    n = int(math.floor(path.span / delta))
+    n, windows, sums = _window_sums(path, delta)
     if n < 1:
         raise ValueError("delta exceeds the path span")
-    k = window_index(path.times, path.t_start, delta)
-    # events up to and including window j, for j = 0..n
-    upto = np.searchsorted(k, np.arange(n + 1), side="right")
-    return np.diff(np.concatenate([[0], np.cumsum(path.jumps)])[upto])
+    out = np.zeros(n, dtype=np.int64)
+    out[windows - 1] = sums
+    return out
 
 
 def realized_pv(path: PricePath, r: float) -> float:

@@ -247,14 +247,12 @@ def expected_pv(params: ModelParams, t: float, r: float) -> float:
 def expected_rv(params: ModelParams, span: float, n: int) -> float:
     """Expected realized variance from ``n`` equal windows over ``span``.
 
-    ``E(RV) = (b + 2 increment(d)/d) * span * kappa_2 + b^2 * span * d * kappa_1^2``
-    with ``d = span / n``: squared-return bias from fleeting round trips
+    ``n * (kappa_2 + kappa_1^2)`` with the return cumulants at window
+    length ``span / n``: the squared-return bias from fleeting round trips
     plus the drift-squared term.
     """
     span = _check_horizon(span)
     if int(n) != n or n < 1:
         raise ValueError(f"window count must be a positive integer, got {n!r}")
     d = span / int(n)
-    k1 = params.levy.cumulant(1)
-    k2 = params.levy.cumulant(2)
-    return (params.b + 2.0 * params.trawl.increment(d) / d) * span * k2 + params.b**2 * span * d * k1**2
+    return int(n) * (return_cumulant(params, d, 2) + return_cumulant(params, d, 1) ** 2)

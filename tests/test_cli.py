@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import trawlprice.cli as cli
 from trawlprice import (
@@ -209,14 +209,31 @@ class TestFit:
         assert json.loads(Path(out).read_text())["converged"] is False
         assert Path(out + ".signature.csv").exists()
 
-    @pytest.mark.parametrize("family", ["exponential", "sup-gamma"])
-    def test_non_positive_n_starts_is_data_error(self, tmp_path, params_file, capsys, family):
-        path_csv = _simulate(tmp_path, params_file, t_end=2000.0)
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--n-starts", "3"], ["fit", "--fit-seed", "1"], ["bootstrap", "--n-starts", "3"]],
+        ids=["fit-n-starts", "fit-seed", "bootstrap-n-starts"],
+    )
+    def test_retired_fit_flags_are_usage_errors(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / "out.json")])
+        assert exc.value.code == 1
+
+    def test_manifest_with_retired_keys_replays(self, tmp_path, params_file):
+        # manifests written while the multi-start fit existed record
+        # n_starts and fit_seed; replaying one gives the same outputs
+        path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
         out = str(tmp_path / "fit.json")
-        code = main(["fit", "--input", path_csv, "--family", family, "--n-starts", "0", "--output", out])
-        assert code == 2
-        assert "n_starts" in capsys.readouterr().err
-        assert not Path(out).exists()
+        assert main(["fit", "--input", path_csv, "--family", "sup-gamma", "--output", out]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        manifest["config"].update(n_starts=20, fit_seed=0)
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        replay = str(tmp_path / "replay.json")
+        assert main(["fit", "--config", str(old), "--output", replay]) == 0
+        assert Path(replay).read_bytes() == Path(out).read_bytes()
+        assert Path(replay + ".signature.csv").read_bytes() == Path(out + ".signature.csv").read_bytes()
+        assert "n_starts" not in json.loads(Path(replay + ".manifest.json").read_text())["config"]
 
 
 class TestSignature:
@@ -243,6 +260,29 @@ class TestSignature:
         fitted = np.array([float(r[2]) for r in rows])
         expected = np.array([return_cumulant(base_params, float(d), 2) / d for d in deltas])
         assert_allclose(fitted, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("family", ["exponential", "sup-gig"])
+    def test_fit_sidecar_is_the_one_signature_curve(self, tmp_path, params_file, family):
+        # the fit's sidecar, the signature command on the fitted parameters
+        # and the return cumulant all give the same model curve, and the
+        # reported objective is its squared distance to the data
+        from trawlprice import return_cumulant
+
+        path_csv = _simulate(tmp_path, params_file)
+        out = str(tmp_path / "fit.json")
+        assert main(["fit", "--input", path_csv, "--family", family, "--output", out]) == 0
+        sig = str(tmp_path / "sig.csv")
+        assert main(["signature", "--input", path_csv, "--fitted-params", out, "--output", sig]) == 0
+        _, fit_rows = _read_csv(out + ".signature.csv")
+        _, sig_rows = _read_csv(sig)
+        deltas, empirical, fitted = np.array(fit_rows, dtype=float).T
+        assert_array_equal(np.array(sig_rows, dtype=float)[:, :2], np.column_stack([deltas, empirical]))
+        assert_allclose(np.array(sig_rows, dtype=float)[:, 2], fitted, rtol=1e-10)
+        fit_params = ModelParams.from_json(out)
+        expected = np.array([return_cumulant(fit_params, d, 2) / d for d in deltas])
+        assert_allclose(fitted, expected, rtol=1e-10)
+        objective = json.loads(Path(out).read_text())["objective"]
+        assert_allclose(objective, np.sum((fitted - empirical) ** 2), rtol=1e-12)
 
 
 class TestClean:
@@ -281,6 +321,14 @@ class TestBootstrap:
         assert all(math.isfinite(blob["means"][k]) for k in blob["names"])
         replay = str(tmp_path / "boot2.json")
         assert main(["bootstrap", "--config", out + ".manifest.json", "--output", replay]) == 0
+        assert Path(replay).read_bytes() == Path(out).read_bytes()
+        # manifests from before the multi-start fit was removed record n_starts
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        manifest["config"]["n_starts"] = 20
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        replay = str(tmp_path / "boot3.json")
+        assert main(["bootstrap", "--config", str(old), "--output", replay]) == 0
         assert Path(replay).read_bytes() == Path(out).read_bytes()
 
     def test_failed_replicas_written_with_reasons(self, tmp_path, params_file, monkeypatch):

@@ -523,6 +523,80 @@ class TestFamilyRegistry:
         assert [name for name, cls in _FAMILIES.items() if not cls.coords] == ["tabulated"]
 
 
+# one member of every registered family; the gamma = 0 sup-gig limit has
+# its own profile and overlap formulas
+_MEMBERS = {
+    "exponential": ExponentialTrawl(lam=BASE_LAM),
+    "sup-gamma": SupGammaTrawl(alpha=2.0, H=1.7),
+    "sup-gig": SupGigTrawl(gamma=1.0, delta_gig=0.05, order=1.6),
+    "sup-gig-gamma-0": SupGigTrawl(gamma=0.0, delta_gig=0.9, order=-0.6),
+    "tabulated": _exp_table(0.7),
+}
+_PROFILE_METHODS = ("d_tilde", "area", "overlap", "increment", "lifetime_quantile", "residual_quantile")
+
+
+class TestFamilyContract:
+    """Validation and result shapes, defined once on the base class."""
+
+    def test_every_registered_family_is_covered(self):
+        assert {fam.name for fam in _MEMBERS.values()} == set(_FAMILIES)
+
+    @pytest.mark.parametrize("cls", _FAMILIES.values(), ids=lambda c: c.name)
+    def test_families_write_kernels_not_profile_methods(self, cls):
+        assert not set(vars(cls)) & set(_PROFILE_METHODS)
+
+    @pytest.mark.parametrize("name", sorted(_MEMBERS))
+    @pytest.mark.parametrize("s", [0.5, 1e-300, [-1.0, 0.25]])
+    def test_positive_lag_rejected(self, name, s):
+        with pytest.raises(ValueError, match=r"s <= 0 only"):
+            _MEMBERS[name].d_tilde(s)
+        with pytest.raises(ValueError, match=r"s <= 0 only"):
+            TrawlSpec(b=1.0, family=_MEMBERS[name]).d(s)
+
+    @pytest.mark.parametrize("name", sorted(_MEMBERS))
+    @pytest.mark.parametrize("method", ["overlap", "increment"])
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, [0.5, -0.1]])
+    def test_bad_age_rejected(self, name, method, t):
+        with pytest.raises(ValueError, match="age/horizon"):
+            getattr(_MEMBERS[name], method)(t)
+
+    @pytest.mark.parametrize("name", sorted(_MEMBERS))
+    @pytest.mark.parametrize(
+        "method,level",
+        [("lifetime_quantile", p) for p in (-0.1, 1.0, math.nan, [0.5, 1.5])]
+        + [("residual_quantile", q) for q in (0.0, 1.1, math.nan, [0.5, -0.2])],
+    )
+    def test_bad_level_rejected(self, name, method, level):
+        with pytest.raises(ValueError, match="quantile level"):
+            getattr(_MEMBERS[name], method)(level)
+
+    @pytest.mark.parametrize("name", sorted(_MEMBERS))
+    @pytest.mark.parametrize(
+        "method,values",
+        [
+            ("d_tilde", [[0.0, -0.01, -0.5], [-2.0, -7.0, -40.0]]),
+            ("overlap", [[0.0, 0.01, 0.5], [2.0, 7.0, 40.0]]),
+            ("increment", [[0.0, 0.01, 0.5], [2.0, 7.0, 40.0]]),
+            ("lifetime_quantile", [[0.0, 0.01, 0.3], [0.5, 0.9, 0.999]]),
+            ("residual_quantile", [[1.0, 0.99, 0.7], [0.5, 0.1, 0.001]]),
+        ],
+    )
+    def test_scalar_gives_float_and_array_keeps_shape(self, name, method, values):
+        fam = _MEMBERS[name]
+        grid = np.array(values)
+        out = getattr(fam, method)(grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        assert np.all(np.isfinite(out))
+        assert getattr(fam, method)(grid.ravel().tolist()).shape == (grid.size,)
+        for x, y in zip(grid.ravel(), out.ravel()):
+            for scalar in (float(x), np.float64(x), np.array(x)):
+                value = getattr(fam, method)(scalar)
+                assert type(value) is float
+                # bisection stops once every element of a call converges
+                assert_allclose(value, y, rtol=1e-9)
+        assert type(fam.area()) is float
+
+
 class TestTrawlSpec:
     def test_squashed_depth_and_area(self):
         spec = TrawlSpec(b=BASE_B, family=ExponentialTrawl(lam=BASE_LAM))
