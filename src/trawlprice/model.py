@@ -199,11 +199,12 @@ class TrawlFamily(ABC):
     array followed by the ``coords`` fields in table order (none for a
     family without a table): ``_d_tilde(s)``, ``_area()``,
     ``_overlap(t)`` and ``_increment(t)``, plus ``_lifetime(p)`` and
-    ``_residual(q)`` where a closed form beats the default bisection.  A
-    parametric family writes ``_increment`` as a static method that
-    broadcasts over arrays of its fields and gives nan for shapes the
-    constructor rejects: the signature fit calls it on a whole grid of
-    shapes at once.
+    ``_residual(q)`` where a closed form beats the default bisection, and
+    ``_sample_lifetimes(p, rng)`` and ``_sample_residuals(q, rng)`` where
+    an exact mixture draw beats the quantiles.  A parametric family writes
+    ``_increment`` as a static method that broadcasts over arrays of its
+    fields and gives nan for shapes the constructor rejects: the signature
+    fit calls it on a whole grid of shapes at once.
     """
 
     name: str = "abstract"
@@ -236,8 +237,7 @@ class TrawlFamily(ABC):
         profile value at ``-t`` is the probability that a move born with
         uniform height survives past age ``t``.
         """
-        p_arr = _check_level(p, "[0,1)")
-        return _match(np.reshape(self._lifetime(p_arr, *self._fields()), np.shape(p)), p)
+        return self._at_levels(self._lifetime, p, "[0,1)")
 
     def residual_quantile(self, q):
         """Invert the stationary residual-lifetime survival ``overlap(t)/area``.
@@ -245,8 +245,31 @@ class TrawlFamily(ABC):
         Returns ``t >= 0`` with ``overlap(t) = q * area`` for ``q in (0, 1]``;
         used to seed moves already alive at the start of a simulation window.
         """
-        q_arr = _check_level(q, "(0,1]")
-        return _match(np.reshape(self._residual(q_arr, *self._fields()), np.shape(q)), q)
+        return self._at_levels(self._residual, q, "(0,1]")
+
+    def sample_lifetimes(self, p, rng):
+        """Lifetimes of fleeting moves, one per level ``p in [0, 1)``.
+
+        Given iid uniform levels, the draws follow the law of
+        :meth:`lifetime_quantile`.  By default they are that quantile, and
+        ``rng`` (a numpy Generator) is left untouched; a family with an
+        exact mixture form turns ``p`` into the exponential clock and draws
+        its mixing rates from ``rng``.
+        """
+        return self._at_levels(self._sample_lifetimes, p, "[0,1)", rng)
+
+    def sample_residuals(self, q, rng):
+        """Residual lifetimes of moves alive at a window start, one per ``q in (0, 1]``.
+
+        The counterpart of :meth:`sample_lifetimes` for the law of
+        :meth:`residual_quantile`.
+        """
+        return self._at_levels(self._sample_residuals, q, "(0,1]", rng)
+
+    def _at_levels(self, kernel, level, kind: str, *args):
+        """``kernel`` at validated quantile levels, shaped like ``level``."""
+        arr = _check_level(level, kind)
+        return _match(np.reshape(kernel(arr, *args, *self._fields()), np.shape(level)), level)
 
     @abstractmethod
     def _d_tilde(self, s, *fields):
@@ -271,6 +294,14 @@ class TrawlFamily(ABC):
     def _residual(self, q, *fields):
         """Residual-lifetime quantiles by bisection on the overlap."""
         return _invert_decreasing(lambda t: self._overlap(t, *fields), self._area(*fields) * np.atleast_1d(q))
+
+    def _sample_lifetimes(self, p, rng, *fields):
+        """Lifetime draws: the quantiles at ``p``, with nothing taken from ``rng``."""
+        return self._lifetime(p, *fields)
+
+    def _sample_residuals(self, q, rng, *fields):
+        """Residual-lifetime draws: the quantiles at ``q``, with nothing taken from ``rng``."""
+        return self._residual(q, *fields)
 
     def params(self) -> dict:
         """JSON-ready parameter mapping (inverse of :meth:`from_params`)."""
@@ -392,7 +423,15 @@ class SupGigTrawl(TrawlFamily):
     ``2 (w/2)^|order| K_|order|(w) / Gamma(|order|)`` with
     ``w = delta_gig * sqrt(-2 s)``.  All Bessel evaluations use the
     exponentially scaled ``kve`` so large arguments underflow gracefully
-    instead of destroying precision.  Quantiles use the default bisection.
+    instead of destroying precision.
+
+    The profile is the Laplace transform of ``lam ~ GIG(order, delta_gig,
+    gamma)``, so a lifetime is exactly ``E / lam`` with ``E ~ Exp(1)``
+    (Barndorff-Nielsen, Lunde, Shephard & Veraart, *Integer-valued trawl
+    processes*, 2014).  A residual lifetime is the same with ``lam`` drawn
+    from the 1/lam size-biased law, GIG of order ``order - 1``.  The
+    sampling pair draws these mixtures; the public quantiles keep the
+    default bisection.
     """
 
     gamma: float
@@ -421,9 +460,12 @@ class SupGigTrawl(TrawlFamily):
             return cls._bessel_ratio(-s, gamma, delta_gig, order, 0.0)
         a = -order
         w = delta_gig * np.sqrt(-2.0 * s)
+        k = sps.kve(a, w)
         with np.errstate(invalid="ignore"):
-            val = (2.0 ** (1.0 - a) / sps.gamma(a)) * w**a * sps.kve(a, w) * np.exp(-w)
-        return np.where(w == 0.0, 1.0, val)
+            val = (2.0 ** (1.0 - a) / sps.gamma(a)) * w**a * k * np.exp(-w)
+        # kve overflows only as w -> 0, where w**a underflows: use the limit 1 there.
+        # Rounding lifts the product up to ~1e-14 above 1 at small w; a survival probability is <= 1
+        return np.where(np.isinf(k), 1.0, np.minimum(val, 1.0))
 
     @staticmethod
     def _bessel_ratio(t, gamma, delta_gig, order, shift):
@@ -455,8 +497,10 @@ class SupGigTrawl(TrawlFamily):
 
         def heavy():
             w = delta_gig * np.sqrt(2.0 * t)
-            val = (2.0 ** (1.0 - a) / sps.gamma(a)) / delta_gig**2 * w ** (1.0 + a) * sps.kve(1.0 + a, w) * np.exp(-w)
-            return np.where(w == 0.0, cls._area(gamma, delta_gig, order), val)
+            k = sps.kve(1.0 + a, w)
+            val = (2.0 ** (1.0 - a) / sps.gamma(a)) / delta_gig**2 * w ** (1.0 + a) * k * np.exp(-w)
+            # as in _d_tilde: where kve overflows (w -> 0) the overlap is the area
+            return np.where(np.isinf(k), cls._area(gamma, delta_gig, order), val)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             return _branch(gamma > 0.0, mixed, heavy)
@@ -465,6 +509,29 @@ class SupGigTrawl(TrawlFamily):
     def _increment(cls, t, gamma, delta_gig, order):
         rejected = (gamma < 0.0) | (delta_gig <= 0.0) | ((gamma == 0.0) & (order >= 0.0))
         return np.where(rejected, np.nan, cls._area(gamma, delta_gig, order) - cls._overlap(t, gamma, delta_gig, order))
+
+    @classmethod
+    def _sample_lifetimes(cls, p, rng, gamma, delta_gig, order):
+        return -np.log1p(-p) * cls._inverse_rates(p.shape, rng, gamma, delta_gig, order)
+
+    @classmethod
+    def _sample_residuals(cls, q, rng, gamma, delta_gig, order):
+        return -np.log(q) * cls._inverse_rates(q.shape, rng, gamma, delta_gig, order - 1.0)
+
+    @staticmethod
+    def _inverse_rates(shape, rng, gamma, delta_gig, order):
+        """Draws of ``1/lam`` for ``lam ~ GIG(order, delta_gig, gamma)``.
+
+        ``1/lam`` is GIG with the order negated and ``gamma``, ``delta_gig``
+        swapped; at ``gamma = 0`` that is Gamma(-order) over ``delta_gig^2/2``.
+        Multiplying by the draw, never dividing, keeps a Gamma draw that
+        underflows to 0 a zero lifetime rather than a divide warning.
+        """
+        if gamma > 0.0:
+            from scipy.stats import geninvgauss  # slow to import, and only this branch needs it
+
+            return geninvgauss.rvs(-order, gamma * delta_gig, scale=gamma / delta_gig, size=shape, random_state=rng)
+        return rng.gamma(-order, size=shape) * (2.0 / delta_gig**2)
 
 
 class TabulatedTrawl(TrawlFamily):

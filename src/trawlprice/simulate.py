@@ -2,11 +2,14 @@
 
 Moves arrive as a marked Poisson stream at rate ``||nu||``; each move is
 permanent with probability ``b`` and otherwise reverses after a random
-lifetime whose quantile function is the inverse trawl profile.  Moves
-already alive at the window start are seeded from the stationary law:
-a Poisson count with mean ``||nu|| * leb_area`` and residual lifetimes
-drawn from the overlap survival function.  No discretisation is involved;
-paths are exact to machine precision.
+lifetime whose survival function is the trawl profile.  Moves already
+alive at the window start are seeded from the stationary law: a Poisson
+count with mean ``||nu|| * leb_area`` and residual lifetimes whose
+survival function is the normalised overlap.  Both are drawn by the
+family's sampling pair, ``sample_lifetimes`` and ``sample_residuals``,
+from the uniforms drawn here: the inverse-CDF quantiles by default, an
+exact mixture draw for sup-GIG.  No discretisation is involved; paths are
+exact to machine precision.
 """
 
 from __future__ import annotations
@@ -129,8 +132,10 @@ def sample_initial_survivors(params: ModelParams, rng) -> SurvivorSet:
     """Draw the stationary population of fleeting moves alive at time 0.
 
     The count is Poisson with mean ``||nu|| * leb_area``; sizes are iid
-    from ``nu / ||nu||``; residual lifetimes invert the overlap survival
-    function ``overlap(t) / leb_area`` at iid uniforms.
+    from ``nu / ||nu||``; residual lifetimes, with survival function
+    ``overlap(t) / leb_area``, come from the family's ``sample_residuals``
+    at iid uniforms (the inverse of that survival function, unless the
+    family draws an exact mixture from ``rng``).
     """
     rng = _as_generator(rng)
     leb = params.trawl.leb_area()
@@ -139,7 +144,7 @@ def sample_initial_survivors(params: ModelParams, rng) -> SurvivorSet:
     n = int(rng.poisson(params.levy.total_mass * leb))
     sizes = rng.choice(params.levy.sizes, size=n, p=params.levy.probabilities)
     u = rng.random(n)
-    residuals = np.asarray(params.trawl.family.residual_quantile(u)) if n else np.empty(0)
+    residuals = np.asarray(params.trawl.family.sample_residuals(u, rng)) if n else np.empty(0)
     return SurvivorSet(sizes=sizes, residuals=np.atleast_1d(residuals))
 
 
@@ -183,7 +188,7 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     fleeting = heights > b
     if fleeting.any():
         p_life = (heights[fleeting] - b) / (1.0 - b)
-        lifetimes = np.atleast_1d(np.asarray(trawl.family.lifetime_quantile(p_life)))
+        lifetimes = np.atleast_1d(np.asarray(trawl.family.sample_lifetimes(p_life, rng)))
         d_times = a_times[fleeting] + lifetimes
         keep = d_times <= t_end
         idx = np.flatnonzero(fleeting)[keep]

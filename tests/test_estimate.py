@@ -672,8 +672,15 @@ class TestNonparametricTrawl:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time, and nothing in
-    # the package needs it
+    # scipy.stats costs about half a second of import time; only a sup-GIG
+    # simulation with gamma > 0 needs it, for its GIG mixing draws
     src = str(Path(trawlprice.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import trawlprice; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    head = f"import sys; sys.path.insert(0, {src!r}); import trawlprice as tp; "
+    simulate = (
+        "p = tp.ModelParams(levy=tp.LevyMeasure({1: 0.5, -1: 0.5}), "
+        "trawl=tp.TrawlSpec(b=0.4, family=tp.ExponentialTrawl(lam=0.7))); "
+        "assert tp.simulate_path(p, 0.0, 100.0, 0, 1).n_events > 0; "
+    )
+    for body in ("", simulate):
+        code = head + body + "sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0

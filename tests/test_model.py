@@ -8,12 +8,14 @@ overlaps from the profile alone.
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy import stats
 
 from trawlprice import (
     ExponentialTrawl,
@@ -329,6 +331,82 @@ class TestSupGigTrawl:
         a = fam.residual_quantile(q)
         assert_allclose(fam.overlap(a), q * fam.area(), rtol=1e-7)
 
+    @pytest.mark.parametrize("order", [-0.6, -3.0, -10.0])
+    @pytest.mark.parametrize("lag", [1e-300, 1e-60])
+    @pytest.mark.parametrize("delta", [1e-5, 1.0])
+    def test_zero_gamma_kernels_reach_their_limit_at_tiny_lags(self, delta, lag, order):
+        # once kve overflows, w**a * kve(a, w) is 0 * inf; the profile tends
+        # to 1 and the overlap to the area as w -> 0
+        fam = SupGigTrawl(gamma=0.0, delta_gig=delta, order=order)
+        assert_allclose(fam.d_tilde(-lag), 1.0, rtol=1e-12)
+        assert_allclose(fam.overlap(lag), fam.area(), rtol=1e-12)
+        assert abs(fam.increment(lag)) <= 1e-12 * fam.area()
+
+    @pytest.mark.parametrize("order", [-0.6, -3.0, -10.0])
+    def test_zero_gamma_lifetime_quantile_vanishes_at_level_zero(self, order):
+        # the bisection goes right wherever the profile reads nan or rounds above 1
+        fam = SupGigTrawl(gamma=0.0, delta_gig=1e-5, order=order)
+        t = fam.lifetime_quantile(0.0)
+        assert t < 1e-40
+        assert np.all(fam.d_tilde(-np.geomspace(1e-300, 1e3, 2000)) <= 1.0)
+
+
+# (gamma, delta, order): the heavy-tail benchmark's shape, the gamma = 0
+# branch, the Bessel corner of the fit bounds and near the sup-gamma limit
+_SAMPLER_SHAPES = {
+    "heavy-tail": (1.0, 0.05, 1.6),
+    "gamma-0": (0.0, 0.9, -0.6),
+    "bessel-corner": (50.0, 34.0, -10.0),
+    "near-sup-gamma": (1.5, 1e-4, 2.3),
+}
+
+
+class TestSupGigSampler:
+    """Exact GIG-mixture draws against the profile and overlap they integrate."""
+
+    @pytest.mark.parametrize("shape", _SAMPLER_SHAPES.values(), ids=list(_SAMPLER_SHAPES))
+    def test_lifetimes_follow_the_profile(self, shape):
+        fam = SupGigTrawl(*shape)
+        rng = np.random.default_rng(20140601)
+        draws = fam.sample_lifetimes(rng.random(100_000), rng)
+        assert stats.kstest(draws, lambda t: 1.0 - fam.d_tilde(-t)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", _SAMPLER_SHAPES.values(), ids=list(_SAMPLER_SHAPES))
+    def test_residuals_follow_the_overlap(self, shape):
+        fam = SupGigTrawl(*shape)
+        area = fam.area()
+        rng = np.random.default_rng(20140602)
+        draws = fam.sample_residuals(1.0 - rng.random(100_000), rng)
+        assert stats.kstest(draws, lambda t: 1.0 - fam.overlap(t) / area).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", _SAMPLER_SHAPES.values(), ids=list(_SAMPLER_SHAPES))
+    def test_draws_take_their_mixing_rates_from_rng(self, shape):
+        fam = SupGigTrawl(*shape)
+        levels = np.full(4, 0.5)
+        first = fam.sample_lifetimes(levels, np.random.default_rng(3))
+        assert_array_equal(fam.sample_lifetimes(levels, np.random.default_rng(3)), first)
+        assert len(set(first.tolist())) == first.size
+
+    @pytest.mark.parametrize("shape", [(1.0, 0.05, 1.6), (0.0, 0.9, -0.6)], ids=["gamma>0", "gamma-0"])
+    def test_scalar_gives_float_and_array_keeps_shape(self, shape):
+        fam = SupGigTrawl(*shape)
+        rng = np.random.default_rng(5)
+        for method in (fam.sample_lifetimes, fam.sample_residuals):
+            assert type(method(0.5, rng)) is float
+            assert method(np.full((2, 3), 0.5), rng).shape == (2, 3)
+            assert method([0.5, 0.25], rng).shape == (2,)
+            assert method(np.empty(0), rng).shape == (0,)
+
+    def test_gamma_draw_underflowing_to_zero_gives_zero_lifetime_without_warning(self):
+        # Gamma(0.01) draws reach 0 about once in a thousand
+        fam = SupGigTrawl(gamma=0.0, delta_gig=1e5, order=-0.01)
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = fam.sample_lifetimes(rng.random(20_000), rng)
+        assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
+        assert np.any(draws == 0.0)
+
 
 # ---------------------------------------------------------------------------
 # Tabulated family
@@ -532,7 +610,10 @@ _MEMBERS = {
     "sup-gig-gamma-0": SupGigTrawl(gamma=0.0, delta_gig=0.9, order=-0.6),
     "tabulated": _exp_table(0.7),
 }
-_PROFILE_METHODS = ("d_tilde", "area", "overlap", "increment", "lifetime_quantile", "residual_quantile")
+_PROFILE_METHODS = (
+    "d_tilde", "area", "overlap", "increment", "lifetime_quantile", "residual_quantile",
+    "sample_lifetimes", "sample_residuals",
+)
 
 
 class TestFamilyContract:
@@ -563,12 +644,36 @@ class TestFamilyContract:
     @pytest.mark.parametrize("name", sorted(_MEMBERS))
     @pytest.mark.parametrize(
         "method,level",
-        [("lifetime_quantile", p) for p in (-0.1, 1.0, math.nan, [0.5, 1.5])]
-        + [("residual_quantile", q) for q in (0.0, 1.1, math.nan, [0.5, -0.2])],
+        [(m, p) for m in ("lifetime_quantile", "sample_lifetimes") for p in (-0.1, 1.0, math.nan, [0.5, 1.5])]
+        + [(m, q) for m in ("residual_quantile", "sample_residuals") for q in (0.0, 1.1, math.nan, [0.5, -0.2])],
     )
     def test_bad_level_rejected(self, name, method, level):
+        rng = np.random.default_rng(0)
+        args = (rng,) if method.startswith("sample") else ()
         with pytest.raises(ValueError, match="quantile level"):
-            getattr(_MEMBERS[name], method)(level)
+            getattr(_MEMBERS[name], method)(level, *args)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("name", ["exponential", "sup-gamma", "tabulated"])
+    @pytest.mark.parametrize(
+        "sample,quantile,levels",
+        [
+            ("sample_lifetimes", "lifetime_quantile", [[0.0, 0.01, 0.3], [0.5, 0.9, 0.999]]),
+            ("sample_residuals", "residual_quantile", [[1.0, 0.99, 0.7], [0.5, 0.1, 0.001]]),
+        ],
+    )
+    def test_sampling_pair_is_the_quantile_without_random_draws(self, name, sample, quantile, levels):
+        # families without a mixture form keep their inverse-CDF draws, so
+        # their seeded paths stay bit-identical
+        fam = _MEMBERS[name]
+        rng = np.random.default_rng(99)
+        before = rng.bit_generator.state
+        grid = np.array(levels)
+        assert_array_equal(getattr(fam, sample)(grid, rng), getattr(fam, quantile)(grid))
+        for x in grid.ravel():
+            got = getattr(fam, sample)(float(x), rng)
+            assert type(got) is float and got == getattr(fam, quantile)(float(x))
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", sorted(_MEMBERS))
     @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ from trawlprice import (
     LevyMeasure,
     ModelParams,
     PricePath,
+    SupGigTrawl,
     TrawlSpec,
+    collect_stats,
     read_path_csv,
     realized_pv,
     return_cumulant,
@@ -29,6 +31,18 @@ from trawlprice import (
     write_path_csv,
 )
 from trawlprice.simulate import _generate_events
+
+
+def _sup_gig_params(shape, b: float = 0.4, rate: float = 0.5) -> ModelParams:
+    """Symmetric unit jumps on a sup-GIG trawl with ``(gamma, delta, order)``."""
+    return ModelParams(
+        levy=LevyMeasure({1: rate, -1: rate}),
+        trawl=TrawlSpec(b=b, family=SupGigTrawl(*shape)),
+    )
+
+
+# the heavy-tail benchmark's shape and the gamma = 0 branch
+_SUP_GIG_SHAPES = {"heavy-tail": (1.0, 0.05, 1.6), "gamma-0": (0.0, 0.9, -0.6)}
 
 
 def _manual_path() -> PricePath:
@@ -112,6 +126,18 @@ class TestInitialSurvivors:
         want = 0.0238584434655
         se = math.sqrt(want / counts.size)  # Poisson variance
         assert abs(counts.mean() - want) < 4 * se
+
+    @pytest.mark.parametrize("shape", _SUP_GIG_SHAPES.values(), ids=list(_SUP_GIG_SHAPES))
+    def test_sup_gig_count_and_residual_law(self, shape):
+        params = _sup_gig_params(shape, rate=50.0)
+        rng = np.random.default_rng(17)
+        draws = [sample_initial_survivors(params, rng) for _ in range(400)]
+        counts = np.array([d.count for d in draws])
+        want = params.levy.total_mass * params.trawl.leb_area()
+        assert abs(counts.mean() - want) < 4 * math.sqrt(want / counts.size)
+        fam = params.trawl.family
+        residuals = np.concatenate([d.residuals for d in draws])
+        assert stats.kstest(residuals, lambda t: 1.0 - fam.overlap(t) / fam.area()).pvalue > 1e-3
 
     def test_fully_permanent_has_no_survivors(self, skellam_params):
         surv = sample_initial_survivors(skellam_params, np.random.default_rng(0))
@@ -274,6 +300,34 @@ class TestSimulatePath:
         ]
         ks = stats.kstest(gaps, stats.expon(scale=1 / lam).cdf)
         assert ks.pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", _SUP_GIG_SHAPES.values(), ids=list(_SUP_GIG_SHAPES))
+    def test_sup_gig_fleeting_lifetimes_follow_profile_law(self, shape):
+        params = _sup_gig_params(shape, b=0.0, rate=1.0)
+        fam = params.trawl.family
+        times, _, kind, pair = _generate_events(params, 0.0, 5000.0, np.random.default_rng(23))
+        arrivals = np.flatnonzero(kind == 1)
+        departures = np.flatnonzero(kind == 2)
+        born = times[arrivals[pair[departures]]]
+        # a lifetime beyond the window end is censored; the profile's tail
+        # past 1000 s is below 1e-5, so arrivals before 4000 s lose almost none
+        early = born < 4000.0
+        gaps = times[departures][early] - born[early]
+        assert gaps.size > 5000
+        assert stats.kstest(gaps, lambda t: 1.0 - fam.d_tilde(-t)).pvalue > 1e-3
+
+    def test_sup_gig_signature_matches_theory(self):
+        # the mean of 16 paths' signatures against return_cumulant(., delta, 2)/delta,
+        # within four standard errors measured across the paths
+        params = _sup_gig_params(_SUP_GIG_SHAPES["heavy-tail"])
+        deltas = np.array([0.5, 5.0, 50.0])
+        sigs = np.array([
+            collect_stats(simulate_path(params, 0.0, 5000.0, 0, 300 + k), deltas=deltas).variances / deltas
+            for k in range(16)
+        ])
+        want = np.array([return_cumulant(params, d, 2) / d for d in deltas])
+        se = sigs.std(axis=0, ddof=1) / math.sqrt(sigs.shape[0])
+        assert np.all(np.abs(sigs.mean(axis=0) - want) < 4 * se)
 
 
 # ---------------------------------------------------------------------------
