@@ -37,8 +37,8 @@ __all__ = ["main", "RunManifest"]
 _USAGE_ERROR, _DATA_ERROR, _NO_CONVERGENCE = 1, 2, 3
 
 
-class _CliError(Exception):
-    """Data or input-file problem; maps to exit code 2."""
+class _UsageError(Exception):
+    """A missing required option; maps to exit code 1 (a ``ValueError`` or ``OSError`` maps to 2)."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,18 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What a command did; :func:`main` turns it into the manifest, the
+    summary line and the exit code (3, with ``unconverged`` on stderr,
+    when it is set)."""
+
+    inputs: list
+    outputs: list
+    summary: str
+    unconverged: str | None = None
 
 
 @contextlib.contextmanager
@@ -84,13 +96,13 @@ def _atomic_json(path: str, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(command: str, cfg: dict, inputs: list, outputs: list, started: float) -> None:
+def _write_manifest(command: str, cfg: dict, run: _Run, started: float) -> None:
     manifest = RunManifest(
         command=command,
         config=cfg,
         seed=cfg.get("seed"),
-        inputs=list(inputs),
-        outputs=list(outputs),
+        inputs=list(run.inputs),
+        outputs=list(run.outputs),
         version=__version__,
         runtime_s=round(time.monotonic() - started, 6),
     )
@@ -101,29 +113,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _atomic_csv(path: str, header: list[str], rows) -> None:
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    _atomic_write_text(path, buf.getvalue())
+
+
+def _write_signature(path: str, deltas, empirical, fitted=None) -> None:
+    """The signature CSV of ``fit`` (its sidecar) and ``signature``; ``fitted`` may be absent."""
+    fitted_cells = [""] * len(deltas) if fitted is None else map(_fmt, fitted)
+    rows = zip(map(_fmt, deltas), map(_fmt, empirical), fitted_cells)
+    _atomic_csv(path, ["delta", "empirical", "fitted"], rows)
 
 
 def _load_params(path: str) -> ModelParams:
     try:
         return ModelParams.from_json(path)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise _CliError(f"cannot load model parameters from {path}: {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValueError(f"cannot load model parameters from {path}: {exc}") from exc
 
 
 def _load_path(csv_file: str, sidecar: str | None):
     sidecar = sidecar or f"{csv_file}.meta.json"
     try:
         return read_path_csv(csv_file, sidecar)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise _CliError(f"cannot load path from {csv_file} (+ {sidecar}): {exc}") from exc
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load path from {csv_file} (+ {sidecar}): {exc}") from exc
 
 
 def _write_path(path, out_csv: str) -> list[str]:
@@ -137,42 +156,33 @@ def _grid_from_cfg(cfg: dict) -> np.ndarray:
     n = int(cfg["grid_points"])
     lo, hi = float(cfg["grid_min"]), float(cfg["grid_max"])
     if n < 2 or not (0.0 < lo < hi):
-        raise _CliError(f"invalid grid: min={lo}, max={hi}, points={n}")
+        raise ValueError(f"invalid grid: min={lo}, max={hi}, points={n}")
     return np.geomspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns the process exit code)
+# command implementations (each computes, writes its outputs and returns a _Run)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_simulate(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
-    try:
-        path = simulate_path(params, float(cfg["t_start"]), float(cfg["t_end"]), int(cfg["v0"]), int(cfg["seed"]))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    path = simulate_path(params, float(cfg["t_start"]), float(cfg["t_end"]), int(cfg["v0"]), int(cfg["seed"]))
     outputs = _write_path(path, cfg["output"])
-    _write_manifest("simulate", cfg, [cfg["params"]], outputs, started)
-    print(f"simulate: {path.n_events} events on ({path.t_start}, {path.t_end}] -> {cfg['output']}")
-    return 0
+    summary = f"{path.n_events} events on ({path.t_start}, {path.t_end}] -> {cfg['output']}"
+    return _Run([cfg["params"]], outputs, summary)
 
 
-def _cmd_clean(cfg: dict) -> int:
-    started = time.monotonic()
-    try:
-        records = read_raw_csv(cfg["input"])
-        result = clean_ticks(
-            records,
-            CleanConfig(
-                tick_size=float(cfg["tick_size"]),
-                m_factor=float(cfg["m_factor"]),
-                apply_step1=bool(cfg["step1"]),
-            ),
-        )
-    except (OSError, ValueError) as exc:
-        raise _CliError(str(exc)) from exc
+def _cmd_clean(cfg: dict) -> _Run:
+    records = read_raw_csv(cfg["input"])
+    result = clean_ticks(
+        records,
+        CleanConfig(
+            tick_size=float(cfg["tick_size"]),
+            m_factor=float(cfg["m_factor"]),
+            apply_step1=bool(cfg["step1"]),
+        ),
+    )
     outputs = _write_path(result.path, cfg["output"])
     diag_text = "".join(line + "\n" for line in result.diagnostics)
     if cfg.get("diagnostics"):
@@ -180,103 +190,64 @@ def _cmd_clean(cfg: dict) -> int:
         outputs.append(cfg["diagnostics"])
     else:
         sys.stderr.write(diag_text)
-    _write_manifest("clean", cfg, [cfg["input"]], outputs, started)
-    print(
-        f"clean: {len(records)} records -> {result.path.n_events + 1} prices, "
+    summary = (
+        f"{len(records)} records -> {result.path.n_events + 1} prices, "
         f"{len(result.diagnostics)} diagnostic line(s) -> {cfg['output']}"
     )
-    return 0
+    return _Run([cfg["input"]], outputs, summary)
 
 
-def _signature_rows(deltas, empirical, fitted):
-    rows = []
-    for i, d in enumerate(deltas):
-        fit_cell = _fmt(fitted[i]) if fitted is not None else ""
-        rows.append([_fmt(d), _fmt(empirical[i]), fit_cell])
-    return rows
-
-
-def _cmd_fit(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_fit(cfg: dict) -> _Run:
     path = _load_path(cfg["input"], cfg.get("sidecar"))
-    grid = _grid_from_cfg(cfg)
-    try:
-        stats = collect_stats(path, grid, drop_incompatible=True)
-        fit = fit_signature(stats, family=cfg["family"])
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    stats = collect_stats(path, _grid_from_cfg(cfg), drop_incompatible=True)
+    fit = fit_signature(stats, family=cfg["family"])
     _atomic_json(cfg["output"], fit.to_dict())
     sig_file = cfg.get("signature_output") or f"{cfg['output']}.signature.csv"
-    _atomic_write_text(
-        sig_file,
-        _csv_text(["delta", "empirical", "fitted"], _signature_rows(fit.deltas, fit.empirical, fit.fitted)),
-    )
-    _write_manifest("fit", cfg, [cfg["input"]], [cfg["output"], sig_file], started)
+    _write_signature(sig_file, fit.deltas, fit.empirical, fit.fitted)
     flags = f" boundary={list(fit.boundary_flags)}" if fit.boundary_flags else ""
-    print(f"fit: family={cfg['family']} objective={fit.objective:.6e} converged={fit.converged}{flags}")
-    if not fit.converged:
-        sys.stderr.write("fit: optimizer did not converge; outputs written anyway\n")
-        return _NO_CONVERGENCE
-    return 0
+    summary = f"family={cfg['family']} objective={fit.objective:.6e} converged={fit.converged}{flags}"
+    unconverged = None if fit.converged else "optimizer did not converge; outputs written anyway"
+    return _Run([cfg["input"]], [cfg["output"], sig_file], summary, unconverged)
 
 
-def _cmd_pmf(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_pmf(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
     n_points = cfg.get("n_points")
     try:
         result = return_pmf(params, float(cfg["t"]), None if n_points is None else int(n_points))
-    except (ValueError, ArithmeticError) as exc:
-        raise _CliError(str(exc)) from exc
+    except ArithmeticError as exc:
+        raise ValueError(str(exc)) from exc
     rows = [[int(y), _fmt(p)] for y, p in zip(result.support, result.probabilities)]
-    _atomic_write_text(cfg["output"], _csv_text(["y", "probability"], rows))
-    _write_manifest("pmf", cfg, [cfg["params"]], [cfg["output"]], started)
-    print(
-        f"pmf: t={cfg['t']} support [{result.support[0]}, {result.support[-1]}] "
+    _atomic_csv(cfg["output"], ["y", "probability"], rows)
+    summary = (
+        f"t={cfg['t']} support [{result.support[0]}, {result.support[-1]}] "
         f"aliasing_bound={result.aliasing_bound:.3e} -> {cfg['output']}"
     )
-    return 0
+    return _Run([cfg["params"]], [cfg["output"]], summary)
 
 
-def _cmd_acf(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_acf(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
-    try:
-        gamma, rho = theory_acf(params, float(cfg["delta"]), int(cfg["k_max"]))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    gamma, rho = theory_acf(params, float(cfg["delta"]), int(cfg["k_max"]))
     rows = [[k + 1, _fmt(g), _fmt(r)] for k, (g, r) in enumerate(zip(gamma, rho))]
-    _atomic_write_text(cfg["output"], _csv_text(["k", "gamma", "rho"], rows))
-    _write_manifest("acf", cfg, [cfg["params"]], [cfg["output"]], started)
-    print(f"acf: delta={cfg['delta']} k_max={cfg['k_max']} -> {cfg['output']}")
-    return 0
+    _atomic_csv(cfg["output"], ["k", "gamma", "rho"], rows)
+    return _Run([cfg["params"]], [cfg["output"]], f"delta={cfg['delta']} k_max={cfg['k_max']} -> {cfg['output']}")
 
 
-def _cmd_signature(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_signature(cfg: dict) -> _Run:
     path = _load_path(cfg["input"], cfg.get("sidecar"))
-    grid = _grid_from_cfg(cfg)
-    try:
-        deltas, variances, _ = variance_grid(path, grid, drop_incompatible=True)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    empirical = variances / deltas
+    deltas, variances, _ = variance_grid(path, _grid_from_cfg(cfg), drop_incompatible=True)
     fitted = None
     inputs = [cfg["input"]]
     if cfg.get("fitted_params"):
         params = _load_params(cfg["fitted_params"])
         fitted = [return_cumulant(params, d, 2) / d for d in deltas]
         inputs.append(cfg["fitted_params"])
-    _atomic_write_text(
-        cfg["output"], _csv_text(["delta", "empirical", "fitted"], _signature_rows(deltas, empirical, fitted))
-    )
-    _write_manifest("signature", cfg, inputs, [cfg["output"]], started)
-    print(f"signature: {deltas.size} grid points -> {cfg['output']}")
-    return 0
+    _write_signature(cfg["output"], deltas, variances / deltas, fitted)
+    return _Run(inputs, [cfg["output"]], f"{deltas.size} grid points -> {cfg['output']}")
 
 
-def _cmd_bootstrap(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_bootstrap(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
     family = cfg.get("family") or params.trawl.family.name
     try:
@@ -290,8 +261,8 @@ def _cmd_bootstrap(cfg: dict) -> int:
             deltas=_grid_from_cfg(cfg),
             n_workers=int(cfg["workers"]),
         )
-    except (ValueError, RuntimeError) as exc:
-        raise _CliError(str(exc)) from exc
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
     payload = {
         "names": list(result.names),
         "se": result.se,
@@ -303,12 +274,9 @@ def _cmd_bootstrap(cfg: dict) -> int:
         "failures": [{"replica": i, "reason": reason} for i, reason in result.failures],
     }
     _atomic_json(cfg["output"], payload)
-    _write_manifest("bootstrap", cfg, [cfg["params"]], [cfg["output"]], started)
-    print(f"bootstrap: {result.n_paths} paths, {result.n_nonconverged} nonconverged -> {cfg['output']}")
-    if result.n_nonconverged:
-        sys.stderr.write(f"bootstrap: {result.n_nonconverged} replica(s) did not converge\n")
-        return _NO_CONVERGENCE
-    return 0
+    summary = f"{result.n_paths} paths, {result.n_nonconverged} nonconverged -> {cfg['output']}"
+    unconverged = f"{result.n_nonconverged} replica(s) did not converge" if result.n_nonconverged else None
+    return _Run([cfg["params"]], [cfg["output"]], summary, unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +386,15 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _CliError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if isinstance(loaded, dict) and "config" in loaded and "command" in loaded:
             loaded = loaded["config"]  # accept a run manifest
         if not isinstance(loaded, dict):
-            raise _CliError(f"config {args.config} must hold a JSON object")
+            raise ValueError(f"config {args.config} must hold a JSON object")
         loaded = {k: v for k, v in loaded.items() if k not in _RETIRED_KEYS}
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
-            raise _CliError(f"config {args.config} has unknown key(s) {unknown}")
+            raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
         cfg.update(loaded)
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg.update(explicit)
@@ -435,10 +403,6 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise _UsageError(f"missing required option(s): {flags}")
     return cfg
-
-
-class _UsageError(Exception):
-    pass
 
 
 def main(argv=None) -> int:
@@ -450,13 +414,20 @@ def main(argv=None) -> int:
     func, defaults, required = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args, defaults, required)
-        return func(cfg)
+        started = time.monotonic()
+        run = func(cfg)
+        _write_manifest(args.command, cfg, run, started)
     except _UsageError as exc:
         sys.stderr.write(f"trawlprice {args.command}: {exc}\n")
         return _USAGE_ERROR
-    except (_CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"trawlprice {args.command}: {exc}\n")
         return _DATA_ERROR
+    print(f"{args.command}: {run.summary}")
+    if run.unconverged:
+        sys.stderr.write(f"{args.command}: {run.unconverged}\n")
+        return _NO_CONVERGENCE
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -462,11 +462,11 @@ def _flatten_estimates(result: FitResult) -> dict[str, float]:
 
 
 def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
-    (params, span, v0, family, seed, index, deltas, r_orders) = args
+    (params, span, v0, family, seed, index, deltas) = args
     rng = np.random.default_rng([seed, index])
     try:
         path = simulate_path(params, 0.0, span, v0, rng)
-        stats = collect_stats(path, deltas, r_orders=r_orders, drop_incompatible=True)
+        stats = collect_stats(path, deltas, drop_incompatible=True)
         fit = fit_signature(stats, family=family)
     except ValueError as exc:
         return index, False, {}, str(exc)
@@ -509,7 +509,6 @@ def bootstrap(
     family: str | None = None,
     seed: int = 0,
     deltas=None,
-    r_orders: Sequence[float] = (0.0, 1.0, 2.0),
     n_workers: int | None = None,
 ) -> BootstrapResult:
     """Parametric bootstrap: simulate, re-estimate, summarise the spread.
@@ -528,10 +527,7 @@ def bootstrap(
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)
-    jobs = [
-        (params, float(span), int(v0), family, int(seed), i, deltas, tuple(r_orders))
-        for i in range(int(n_paths))
-    ]
+    jobs = [(params, float(span), int(v0), family, int(seed), i, deltas) for i in range(int(n_paths))]
     if n_workers is not None and n_workers > 1:
         with ProcessPoolExecutor(max_workers=int(n_workers)) as pool:
             raw = list(pool.map(_bootstrap_one, jobs, chunksize=max(1, n_paths // (4 * n_workers))))

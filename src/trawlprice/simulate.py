@@ -154,9 +154,11 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     Returns ``(times, jumps, kind, pair)`` where ``kind`` is 0 for a
     survivor's departure, 1 for an arrival, 2 for an arrival's departure,
     and ``pair`` links each departure to its arrival's index (-1 for
-    survivors and arrivals themselves).  Exposed separately from
-    :func:`simulate_path` so the pairing bookkeeping can be checked
-    directly.
+    survivors and arrivals themselves).  ``pair`` indexes the drawn
+    arrivals, so it skips any arrival dropped because its departure fell on
+    its own time stamp (a sub-ulp lifetime; counted in a warning).  Exposed
+    separately from :func:`simulate_path` so the pairing bookkeeping can be
+    checked directly.
     """
     rng = _as_generator(rng)
     levy, trawl = params.levy, params.trawl
@@ -178,25 +180,37 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     heights = rng.random(n_arr)
 
     base = surv.count
-    ev_t.append(a_times)
-    ev_j.append(a_sizes)
-    ev_kind.append(np.ones(n_arr, dtype=np.int8))
-    ev_pair.append(np.full(n_arr, -1, dtype=np.int64))
-    ev_seq.append(base + 2 * np.arange(n_arr, dtype=np.int64))
-
     b = trawl.b
-    fleeting = heights > b
-    if fleeting.any():
+    fleeting = np.flatnonzero(heights > b)
+    shown = np.ones(n_arr, dtype=bool)
+    if fleeting.size:
         p_life = (heights[fleeting] - b) / (1.0 - b)
         lifetimes = np.atleast_1d(np.asarray(trawl.family.sample_lifetimes(p_life, rng)))
         d_times = a_times[fleeting] + lifetimes
-        keep = d_times <= t_end
-        idx = np.flatnonzero(fleeting)[keep]
+        # a lifetime below half an ulp of its arrival time puts the departure
+        # on the arrival's stamp; the pair nets to zero at one instant, so no
+        # right-continuous path shows it and both events are dropped
+        instant = d_times == a_times[fleeting]
+        if instant.any():
+            shown[fleeting[instant]] = False
+            warnings.warn(
+                f"dropping {int(instant.sum())} fleeting move(s) that depart at their arrival's time stamp",
+                stacklevel=3,
+            )
+        keep = (d_times <= t_end) & ~instant
+        idx = fleeting[keep]
         ev_t.append(d_times[keep])
         ev_j.append(-a_sizes[idx])
         ev_kind.append(np.full(idx.size, 2, dtype=np.int8))
         ev_pair.append(idx)
         ev_seq.append(base + 2 * idx + 1)
+
+    arrivals = np.flatnonzero(shown)
+    ev_t.append(a_times[arrivals])
+    ev_j.append(a_sizes[arrivals])
+    ev_kind.append(np.ones(arrivals.size, dtype=np.int8))
+    ev_pair.append(np.full(arrivals.size, -1, dtype=np.int64))
+    ev_seq.append(base + 2 * arrivals)
 
     times = np.concatenate(ev_t)
     jumps = np.concatenate(ev_j).astype(np.int64)
@@ -224,8 +238,9 @@ def simulate_path(params: ModelParams, t_start: float, t_end: float, v0: int, rn
         raise ValueError("need finite t_start < t_end")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     times, jumps, _, _ = _generate_events(params, float(t_start), float(t_end), rng)
-    # exact time ties have probability zero; they are ordered by insertion
-    # sequence and never merged, so a real tie fails the path invariant loudly
+    # other exact time ties have probability zero; they are ordered by
+    # insertion sequence and never merged, so a real tie fails the path
+    # invariant loudly
     return PricePath(v0=int(v0), t_start=float(t_start), t_end=float(t_end), times=times, jumps=jumps, seed=seed)
 
 

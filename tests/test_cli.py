@@ -195,7 +195,7 @@ class TestFit:
         assert diag["search"] == "grid+brent"
         assert diag["nfev"] > 0 and isinstance(diag["message"], str)
 
-    def test_nonconvergence_exit_code_with_partial_output(self, tmp_path, params_file, monkeypatch):
+    def test_nonconvergence_exit_code_with_partial_output(self, tmp_path, params_file, monkeypatch, capsys):
         path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
         real = cli.fit_signature
 
@@ -208,6 +208,12 @@ class TestFit:
         assert code == 3
         assert json.loads(Path(out).read_text())["converged"] is False
         assert Path(out + ".signature.csv").exists()
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["command"] == "fit"
+        assert manifest["outputs"] == [out, out + ".signature.csv"]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("fit: ")
+        assert captured.err == "fit: optimizer did not converge; outputs written anyway\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -350,6 +356,7 @@ class TestBootstrap:
         blob = json.loads(Path(out).read_text())
         assert blob["failures"] == [{"replica": 1, "reason": "boom"}]
         assert blob["n_nonconverged"] == 1
+        assert json.loads(Path(out + ".manifest.json").read_text())["outputs"] == [out]
 
     @pytest.mark.filterwarnings("ignore:dropping window length")
     def test_all_replicas_failing_names_the_reason(self, tmp_path, params_file, capsys):
@@ -358,6 +365,32 @@ class TestBootstrap:
                      "--n-paths", "2", "--seed", "3", "--grid-min", "30", "--grid-max", "45",
                      "--grid-points", "3", "--workers", "1", "--output", out]) == 2
         assert "no compatible window lengths remain" in capsys.readouterr().err
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_command_writes_manifest_and_summary(self, tmp_path, params_file, capsys, command):
+        path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
+        raw, out, diag = str(DATA / "raw_ticks.csv"), str(tmp_path / f"{command}.out"), str(tmp_path / "diag.txt")
+        runs = {
+            "simulate": (["--params", params_file, "--t-end", "500", "--v0", "0", "--seed", "1"],
+                         [params_file], [out, out + ".meta.json"]),
+            "clean": (["--input", raw, "--tick-size", "0.25", "--step1", "--diagnostics", diag],
+                      [raw], [out, out + ".meta.json", diag]),
+            "fit": (["--input", path_csv], [path_csv], [out, out + ".signature.csv"]),
+            "pmf": (["--params", params_file, "--t", "1"], [params_file], [out]),
+            "acf": (["--params", params_file, "--delta", "1"], [params_file], [out]),
+            "signature": (["--input", path_csv, "--fitted-params", params_file], [path_csv, params_file], [out]),
+            "bootstrap": (["--params", params_file, "--span", "1800", "--v0", "0", "--n-paths", "2", "--seed", "3",
+                           "--grid-points", "30", "--workers", "1"], [params_file], [out]),
+        }
+        flags, inputs, outputs = runs[command]
+        capsys.readouterr()
+        assert main([command, *flags, "--output", out]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert (manifest["command"], manifest["inputs"], manifest["outputs"]) == (command, inputs, outputs)
+        assert all(Path(file).exists() for file in outputs)
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{command}: ")
 
 
 class TestDefaultWorkers:

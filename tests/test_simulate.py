@@ -316,6 +316,24 @@ class TestSimulatePath:
         assert gaps.size > 5000
         assert stats.kstest(gaps, lambda t: 1.0 - fam.d_tilde(-t)).pvalue > 1e-3
 
+    def test_sub_ulp_lifetimes_drop_with_their_arrivals(self):
+        # at gamma=0, delta=1e5 most lifetimes are below half an ulp of the
+        # arrival time, so the departure lands on the arrival's own stamp;
+        # such a pair nets to zero at one instant and is dropped, not a tie
+        params = _sup_gig_params((0.0, 1e5, -0.01))
+        with pytest.warns(UserWarning, match=r"dropping (\d+) fleeting move") as record:
+            path = simulate_path(params, 0.0, 1000.0, 0, 1)
+        dropped = int(str(record[0].message).split()[1])
+        assert 100 < dropped < 1000 and path.n_events > 100
+        with pytest.warns(UserWarning, match=f"dropping {dropped} "):
+            times, jumps, kind, pair = _generate_events(params, 0.0, 1000.0, np.random.default_rng(1))
+        assert_array_equal(times, path.times)
+        assert_array_equal(jumps, path.jumps)
+        # pair ids index the drawn arrivals, the dropped ones included
+        departures = pair[kind == 2]
+        assert np.unique(departures).size == departures.size
+        assert departures.max() < np.count_nonzero(kind == 1) + dropped
+
     def test_sup_gig_signature_matches_theory(self):
         # the mean of 16 paths' signatures against return_cumulant(., delta, 2)/delta,
         # within four standard errors measured across the paths
