@@ -52,7 +52,7 @@ from .estimate import (
     nonparametric_trawl,
     variance_grid,
 )
-from .clean import CleanConfig, CleanResult, RawTick, clean_ticks, read_raw_csv
+from .clean import CleanConfig, CleanResult, RawColumns, RawTick, clean_ticks, read_raw_csv
 
 __version__ = "0.1.0"
 
@@ -69,6 +69,6 @@ __all__ = [
     "DEFAULT_GRID", "EmpiricalStats", "jump_empirics", "variance_grid", "collect_stats",
     "levy_from_moments", "FitResult", "fit_signature", "BootstrapResult", "bootstrap",
     "NonparametricTrawl", "nonparametric_trawl",
-    "RawTick", "CleanConfig", "CleanResult", "clean_ticks", "read_raw_csv",
+    "RawTick", "RawColumns", "CleanConfig", "CleanResult", "clean_ticks", "read_raw_csv",
     "__version__",
 ]

@@ -23,14 +23,15 @@ import csv
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .simulate import PricePath
 
-__all__ = ["RawTick", "CleanConfig", "CleanResult", "clean_ticks", "read_raw_csv"]
+__all__ = ["RawTick", "RawColumns", "CleanConfig", "CleanResult", "clean_ticks", "read_raw_csv"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,39 @@ class RawTick:
     asksz: float | None = None
     trade: float | None = None
     tradesz: float | None = None
+
+
+_FIELDS = tuple(f.name for f in fields(RawTick))
+
+
+class RawColumns(Sequence[RawTick]):
+    """A raw feed held as columns, read as a sequence of :class:`RawTick`.
+
+    ``values`` is an ``(n, 7)`` float array with one column per
+    :class:`RawTick` field, in field order; ``present`` is a boolean
+    array of the same shape, false where a cell is missing.  A recorded
+    ``nan`` is a present cell.  Indexing builds a :class:`RawTick` on
+    demand.
+    """
+
+    def __init__(self, values: np.ndarray, present: np.ndarray):
+        self.values = values
+        self.present = present
+
+    @classmethod
+    def from_ticks(cls, records: Sequence[RawTick]) -> "RawColumns":
+        """The columns of ``records``; a field holding None is missing."""
+        flat = itertools.chain.from_iterable(map(operator.attrgetter(*_FIELDS), records))
+        cells = np.fromiter(flat, dtype=object, count=len(_FIELDS) * len(records)).reshape(-1, len(_FIELDS))
+        return cls(cells.astype(float), np.not_equal(cells, None))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RawColumns(self.values[i], self.present[i])
+        return RawTick(*(float(v) if p else None for v, p in zip(self.values[i], self.present[i])))
 
 
 @dataclass(frozen=True)
@@ -84,18 +118,18 @@ def _fmt(x: float) -> str:
 def clean_ticks(records: Sequence[RawTick], config: CleanConfig) -> CleanResult:
     """Run the cleaning pipeline on time-sorted raw records.
 
-    Each rule is one array operation over the record columns, except that
-    a stamp holding several trades is resolved from the price before it.
+    ``records`` is the :class:`RawColumns` that :func:`read_raw_csv`
+    returns, or any sequence of :class:`RawTick`, which is first turned
+    into columns by :meth:`RawColumns.from_ticks`.  Each rule is one
+    array operation over the columns, except that a stamp holding
+    several trades is resolved from the price before it.
 
     Raises ``ValueError`` for unsorted input or when fewer than two
     distinct price changes survive (no usable path).
     """
-    fields = itertools.chain.from_iterable(map(operator.attrgetter("log_t", "bid", "ask", "trade"), records))
-    cells = np.fromiter(fields, dtype=object, count=4 * len(records)).reshape(-1, 4)
-    present = np.not_equal(cells, None)  # None is missing; a recorded nan is present
-    log_t, bid, ask, trade = cells.astype(float).T
-    has_trade = present[:, 3]
-    del cells  # n-sized temporaries are freed as soon as they are spent, to bound peak memory
+    cols = records if isinstance(records, RawColumns) else RawColumns.from_ticks(records)
+    log_t, bid, _, ask, _, trade, _ = cols.values.T
+    stamped, has_bid, _, has_ask, _, has_trade, _ = cols.present.T
     diagnostics: list[str] = []
 
     bad = ~np.isfinite(log_t)
@@ -103,13 +137,14 @@ def clean_ticks(records: Sequence[RawTick], config: CleanConfig) -> CleanResult:
     if bad.any():
         i = int(np.argmax(bad))
         if not math.isfinite(log_t[i]):
-            raise ValueError(f"record has nonfinite time stamp {records[i].log_t!r}")
+            stamp = float(log_t[i]) if stamped[i] else None
+            raise ValueError(f"record has nonfinite time stamp {stamp!r}")
         raise ValueError(f"records not sorted by time at t={_fmt(log_t[i])}")
 
     # step 1: drop trades printing outside [bid - M*tick, ask + M*tick] of the latest quotes
     if config.apply_step1:
         rows = np.arange(log_t.size)[:, None]
-        last_bid, last_ask = np.maximum.accumulate(np.where(present[:, 1:3], rows, -1), axis=0).T
+        last_bid, last_ask = np.maximum.accumulate(np.where(np.column_stack([has_bid, has_ask]), rows, -1), axis=0).T
         band = config.m_factor * config.tick_size
         lo, hi = bid[last_bid] - band, ask[last_ask] + band
         outside = has_trade & (last_bid >= 0) & (last_ask >= 0) & ~((lo <= trade) & (trade <= hi))
@@ -134,7 +169,7 @@ def clean_ticks(records: Sequence[RawTick], config: CleanConfig) -> CleanResult:
     rejected = has_trade & (nonpositive | off_grid)
     for i in np.flatnonzero(rejected):
         if nonpositive[i]:
-            diagnostics.append(f"tick-align: t={_fmt(log_t[i])} rejected nonpositive trade {records[i].trade!r}")
+            diagnostics.append(f"tick-align: t={_fmt(log_t[i])} rejected nonpositive trade {_fmt(trade[i])}")
         else:
             diagnostics.append(
                 f"tick-align: t={_fmt(log_t[i])} rejected trade {_fmt(trade[i])} "
@@ -190,25 +225,63 @@ def clean_ticks(records: Sequence[RawTick], config: CleanConfig) -> CleanResult:
     return CleanResult(path=path, diagnostics=tuple(diagnostics))
 
 
-def read_raw_csv(file) -> list[RawTick]:
+def read_raw_csv(file) -> RawColumns:
     """Read a raw feed CSV with columns log_t,bid,bidsz,ask,asksz,trade,tradesz.
 
-    Empty fields are missing values.  Extra columns are ignored; rows
-    must at least carry a time stamp.
+    Returns the feed as :class:`RawColumns`.  A cell that is empty,
+    whitespace only or a quoted empty string is a missing value; a
+    recorded ``nan`` is a value.  Extra columns are ignored, and when a
+    column name repeats, its last occurrence is read.  Rows must carry a
+    time stamp.
+
+    Raises ``ValueError`` naming the line for a row that ends before one
+    of the seven columns, and naming the line, column and cell for a
+    cell that is not a number.  A number is read as ASCII text, so a
+    non-ASCII space inside a cell (e.g. U+00A0) makes it not a number.
     """
-    fields = ["log_t", "bid", "bidsz", "ask", "asksz", "trade", "tradesz"]
-    out: list[RawTick] = []
     with open(file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in fields if reader.fieldnames is None or c not in reader.fieldnames]
+        header = next(csv.reader(fh), None)
+        missing = [c for c in _FIELDS if header is None or c not in header]
         if missing:
             raise ValueError(f"raw CSV is missing column(s) {missing}")
+        position = {name: j for j, name in enumerate(header)}  # the last of a repeated name, as csv.DictReader
+        usecols = [position[c] for c in _FIELDS]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on blank lines and on no rows
+                cells = np.loadtxt(
+                    fh, delimiter=",", dtype=bytes, quotechar='"', comments=None, ndmin=2, usecols=usecols
+                )
+            present = np.char.strip(cells) != b""
+            values = np.full(cells.shape, np.nan)
+            values[present] = cells[present].astype(float)
+        except ValueError as exc:
+            located = _locate_bad_row(file, usecols)
+            if located is None:
+                raise
+            raise located from exc
+    if not present[:, 0].all():
+        raise ValueError("raw CSV row without a time stamp")
+    return RawColumns(values, present)
+
+
+def _locate_bad_row(file, usecols: list[int]) -> ValueError | None:
+    """The error naming the first data row of ``file`` that the columnar read rejects, or None."""
+    with open(file, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row in reader:
-            vals = {}
-            for col in fields:
-                cell = (row.get(col) or "").strip()
-                vals[col] = float(cell) if cell else None
-            if vals["log_t"] is None:
-                raise ValueError("raw CSV row without a time stamp")
-            out.append(RawTick(**vals))
-    return out
+            if not row:
+                continue  # a blank line holds no row
+            for name, j in zip(_FIELDS, usecols):
+                if j >= len(row):
+                    return ValueError(
+                        f"raw CSV line {reader.line_num} ends after {len(row)} cell(s), before column {name!r}"
+                    )
+                try:
+                    cell = np.bytes_(row[j].encode("latin-1"))  # as np.loadtxt stores text as bytes
+                    if cell.strip():
+                        cell.astype(float)
+                except ValueError:
+                    return ValueError(f"raw CSV line {reader.line_num}, column {name!r}: {row[j]!r} is not a number")
+    return None

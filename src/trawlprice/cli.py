@@ -174,7 +174,10 @@ def _cmd_simulate(cfg: dict) -> _Run:
 
 
 def _cmd_clean(cfg: dict) -> _Run:
-    records = read_raw_csv(cfg["input"])
+    try:
+        records = read_raw_csv(cfg["input"])
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read raw feed from {cfg['input']}: {exc}") from exc
     result = clean_ticks(
         records,
         CleanConfig(
@@ -395,6 +398,14 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
+        for key, value in loaded.items():
+            convert = _FLAG_TYPES.get(key)
+            if convert is not None and value is not None:
+                try:
+                    convert(value)
+                except (TypeError, ValueError) as exc:
+                    msg = f"config {args.config} key {key!r}: {value!r} is not a valid {convert.__name__}"
+                    raise ValueError(msg) from exc
         cfg.update(loaded)
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg.update(explicit)

@@ -6,6 +6,7 @@ reproduce byte-identically.  Cleaning an already-clean series must be a
 no-op (idempotence).
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from numpy.testing import assert_array_equal
 
 from trawlprice import (
     CleanConfig,
+    RawColumns,
     RawTick,
     clean_ticks,
     read_raw_csv,
@@ -225,12 +227,73 @@ class TestValidation:
             CleanConfig(**kwargs)
 
 
+HEADER = "log_t,bid,bidsz,ask,asksz,trade,tradesz\n"
+NAN, INF = math.nan, math.inf
+
+# (csv text, the RawTick tuples read, or the ValueError message pattern)
+RAW_EDGES = {
+    "recorded-nan-inf": (HEADER + "0.5,nan,1,inf,2,-inf,3\n", [(0.5, NAN, 1.0, INF, 2.0, -INF, 3.0)]),
+    "spaces": (HEADER + " 0.5 , 1.25,,\t2 ,  ,3 ,4\n", [(0.5, 1.25, None, 2.0, None, 3.0, 4.0)]),
+    "quoted-cells": (HEADER + '"0.5","1.25",""," ",,"3",4\n', [(0.5, 1.25, None, None, None, 3.0, 4.0)]),
+    "extra-columns": (
+        "log_t,venue,bid,bidsz,ask,asksz,trade,tradesz,flag\n0.5,X,1,2,3,4,5,6,y\n",
+        [(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)],
+    ),
+    "reordered-columns": (
+        "trade,log_t,tradesz,ask,asksz,bid,bidsz\n5,0.5,6,3,4,1,2\n",
+        [(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)],
+    ),
+    "duplicate-names": (
+        "log_t,bid,bidsz,ask,asksz,trade,tradesz,trade\n0.5,1,2,3,4,99,6,5\n",
+        [(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)],  # the last of a repeated name is read
+    ),
+    "blank-lines": (
+        HEADER + "0.5,,,,,1,1\n\n1.5,,,,,2,1\n\n",
+        [(0.5, None, None, None, None, 1.0, 1.0), (1.5, None, None, None, None, 2.0, 1.0)],
+    ),
+    "crlf": (HEADER.replace("\n", "\r\n") + "0.5,1,2,3,4,,\r\n", [(0.5, 1.0, 2.0, 3.0, 4.0, None, None)]),
+    "header-only": (HEADER, []),
+    "long-row": (HEADER + "0.5,,,,,1,1,7,8\n", [(0.5, None, None, None, None, 1.0, 1.0)]),
+    "underscore-digits": (HEADER + "0.5,,,,,1_00.0,1\n", [(0.5, None, None, None, None, 100.0, 1.0)]),
+    "quoted-comma-ignored": (
+        "log_t,note,bid,bidsz,ask,asksz,trade,tradesz\n0.5,\"a,b\",,,,,1,1\n",
+        [(0.5, None, None, None, None, 1.0, 1.0)],
+    ),
+    "non-ascii-ignored": (
+        "log_t,note,bid,bidsz,ask,asksz,trade,tradesz\n0.5,\u20acuro \u00e9t\u00e9,,,,,1,1\n",
+        [(0.5, None, None, None, None, 1.0, 1.0)],
+    ),
+    "missing-stamp": (HEADER + ",,,,,1.0,1\n", "row without a time stamp"),
+    "short-row": (HEADER + "0.5,,,,,1,1\n1.5,,,,\n", r"^raw CSV line 3 ends after 5 cell\(s\), before column 'trade'$"),
+    "non-ascii-space-in-number": (
+        HEADER + "0.5,,,,,\u00a01.5,1\n", r"^raw CSV line 2, column 'trade': '\\xa01.5' is not a number$"
+    ),
+    "bad-cell": (HEADER + "0.5,,,,,1,1\n1.5,abc,,,,1,1\n", r"^raw CSV line 3, column 'bid': 'abc' is not a number$"),
+}
+
+
 class TestRawCsv:
     def test_reads_fixture(self):
         recs = read_raw_csv(DATA / "raw_ticks.csv")
         assert len(recs) == 17
         assert recs[0].bid == 1498.25 and recs[0].trade is None
         assert recs[1].trade == 1498.50 and recs[1].bid is None
+
+    def test_reads_columns(self):
+        recs = read_raw_csv(DATA / "raw_ticks.csv")
+        assert isinstance(recs, RawColumns) and recs.values.shape == recs.present.shape == (17, 7)
+        assert list(recs[1:3]) == [recs[1], recs[2]] and recs[-1] == recs[16]
+        assert list(RawColumns.from_ticks(list(recs))) == list(recs)
+
+    @pytest.mark.parametrize("text, expected", RAW_EDGES.values(), ids=RAW_EDGES.keys())
+    def test_edge_inputs(self, tmp_path, text, expected):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                read_raw_csv(raw)
+        else:  # compared as repr so that nan equals nan
+            assert repr([dataclasses.astuple(r) for r in read_raw_csv(raw)]) == repr(expected)
 
     def test_missing_column_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -243,6 +306,45 @@ class TestRawCsv:
         bad.write_text("log_t,bid,bidsz,ask,asksz,trade,tradesz\n,,,,,1.0,1\n")
         with pytest.raises(ValueError, match="time stamp"):
             read_raw_csv(bad)
+
+
+def _synthetic_feed(seed: int, n: int = 400) -> str:
+    """A feed with quoted cells, a recorded-nan bid, duplicate stamps and one-tick straddles."""
+    rng = np.random.default_rng(seed)
+    price, t, lines = 400, 0.0, [HEADER.rstrip("\n")]
+    for k in range(n):
+        t += float(rng.integers(1, 4)) * 0.001
+        stamp = f"{t:.3f}"
+        price += int(rng.choice([-1, 1]))
+        if k % 7 == 0:
+            bid = "nan" if k % 35 == 0 else repr((price - 1) * 0.25)
+            lines.append(f'{stamp},{bid},3,"{(price + 1) * 0.25!r}",4,,')
+        if k % 11 == 0:  # a straddle of the previous price at its own stamp
+            lines += [f"{stamp},,,,,{(price - 1) * 0.25!r},1", f"{stamp},,,,,{(price + 1) * 0.25!r},1"]
+            continue
+        lines.append(f'{stamp},,,,,"{price * 0.25!r}",2')
+        if k % 5 == 0:  # a second fill at the same stamp
+            lines.append(f"{stamp},,,,,{(price + 2) * 0.25!r},1")
+    return "\n".join(lines) + "\n"
+
+
+class TestInputForms:
+    """``clean_ticks`` cleans a ``RawTick`` list exactly as the columns it was read from."""
+
+    @pytest.mark.parametrize("source", ["golden", "synthetic"])
+    def test_list_and_columns_clean_alike(self, tmp_path, source):
+        raw = DATA / "raw_ticks.csv"
+        if source == "synthetic":
+            raw = tmp_path / "raw.csv"
+            raw.write_text(_synthetic_feed(5))
+        cols = read_raw_csv(raw)
+        from_list, from_cols = clean_ticks(list(cols), CFG), clean_ticks(cols, CFG)
+        assert from_list.path.v0 == from_cols.path.v0
+        assert_array_equal(from_list.path.times, from_cols.path.times)
+        assert_array_equal(from_list.path.jumps, from_cols.path.jumps)
+        assert from_list.diagnostics == from_cols.diagnostics
+        fired = {d.split()[0] for d in from_cols.diagnostics}
+        assert {"step3-1:", "step3-2:", "step4:"} <= fired
 
 
 class TestGoldenFiles:

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -473,8 +475,36 @@ class TestExitCodes:
                      "--output", str(tmp_path / "c.csv")]) == 2
         assert "fewer than two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, error", [
+        ("1.0,abc,,,,100.25,1", "raw CSV line 3, column 'bid': 'abc' is not a number"),
+        ("1.0,,,,", "raw CSV line 3 ends after 5 cell(s), before column 'trade'"),
+    ], ids=["bad-cell", "short-row"])
+    def test_unreadable_raw_feed_is_data_error(self, tmp_path, capsys, row, error):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"log_t,bid,bidsz,ask,asksz,trade,tradesz\n0.0,,,,,100.0,1\n{row}\n2.0,,,,,100.5,1\n")
+        out = tmp_path / "c.csv"
+        assert main(["clean", "--input", str(raw), "--tick-size", "0.25", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"trawlprice clean: cannot read raw feed from {raw}: {error}\n"
+        assert not out.exists()
+
+    def test_config_value_of_wrong_type_is_data_error(self, tmp_path, params_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t_end": [10]}')
+        code = main(["simulate", "--params", params_file, "--config", str(cfg), "--v0", "0", "--seed", "1",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"trawlprice simulate: config {cfg} key 't_end': [10] is not a valid float\n"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("trawlprice ")
+
+
+def test_module_runs_the_cli():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "trawlprice", "--version"], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"trawlprice {cli.__version__}\n", "")
+    assert "trawlprice.__main__" not in sys.modules  # importing the package does not run the CLI
