@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class RunManifest:
     outputs: list
     version: str
     runtime_s: float
+    counts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -61,12 +62,14 @@ class RunManifest:
 class _Run:
     """What a command did; :func:`main` turns it into the manifest, the
     summary line and the exit code (3, with ``unconverged`` on stderr,
-    when it is set)."""
+    when it is set).  ``counts`` is the work done, recorded in the
+    manifest."""
 
     inputs: list
     outputs: list
     summary: str
     unconverged: str | None = None
+    counts: dict = field(default_factory=dict)
 
 
 @contextlib.contextmanager
@@ -105,6 +108,7 @@ def _write_manifest(command: str, cfg: dict, run: _Run, started: float) -> None:
         outputs=list(run.outputs),
         version=__version__,
         runtime_s=round(time.monotonic() - started, 6),
+        counts=dict(run.counts),
     )
     _atomic_json(f"{cfg['output']}.manifest.json", manifest.to_dict())
 
@@ -160,6 +164,11 @@ def _grid_from_cfg(cfg: dict) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _signature_counts(path, windows) -> dict:
+    """The work of a variance signature: events, window lengths kept and windows summed."""
+    return {"events": path.n_events, "window_lengths": int(windows.size), "windows": int(windows.sum())}
+
+
 # ---------------------------------------------------------------------------
 # command implementations (each computes, writes its outputs and returns a _Run)
 # ---------------------------------------------------------------------------
@@ -210,7 +219,8 @@ def _cmd_fit(cfg: dict) -> _Run:
     flags = f" boundary={list(fit.boundary_flags)}" if fit.boundary_flags else ""
     summary = f"family={cfg['family']} objective={fit.objective:.6e} converged={fit.converged}{flags}"
     unconverged = None if fit.converged else "optimizer did not converge; outputs written anyway"
-    return _Run([cfg["input"]], [cfg["output"], sig_file], summary, unconverged)
+    counts = {**_signature_counts(path, stats.counts), "nfev": int(fit.diagnostics["nfev"])}
+    return _Run([cfg["input"]], [cfg["output"], sig_file], summary, unconverged, counts)
 
 
 def _cmd_pmf(cfg: dict) -> _Run:
@@ -239,7 +249,7 @@ def _cmd_acf(cfg: dict) -> _Run:
 
 def _cmd_signature(cfg: dict) -> _Run:
     path = _load_path(cfg["input"], cfg.get("sidecar"))
-    deltas, variances, _ = variance_grid(path, _grid_from_cfg(cfg), drop_incompatible=True)
+    deltas, variances, windows = variance_grid(path, _grid_from_cfg(cfg), drop_incompatible=True)
     fitted = None
     inputs = [cfg["input"]]
     if cfg.get("fitted_params"):
@@ -247,7 +257,8 @@ def _cmd_signature(cfg: dict) -> _Run:
         fitted = [return_cumulant(params, d, 2) / d for d in deltas]
         inputs.append(cfg["fitted_params"])
     _write_signature(cfg["output"], deltas, variances / deltas, fitted)
-    return _Run(inputs, [cfg["output"]], f"{deltas.size} grid points -> {cfg['output']}")
+    summary = f"{deltas.size} grid points -> {cfg['output']}"
+    return _Run(inputs, [cfg["output"]], summary, counts=_signature_counts(path, windows))
 
 
 def _cmd_bootstrap(cfg: dict) -> _Run:
@@ -382,6 +393,21 @@ def _build_parser() -> _Parser:
 _RETIRED_KEYS = ("n_starts", "fit_seed")
 
 
+def _config_value_ok(kind: type, value) -> bool:
+    """Whether a loaded config value fits an option of type ``kind``: a
+    ``bool`` option takes a JSON boolean, a ``str`` option a string or
+    null, and a typed flag null or a value its type converts."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if value is None or kind is str:
+        return value is None or isinstance(value, str)
+    try:
+        kind(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
     cfg = dict(defaults)
     if args.config is not None:
@@ -399,13 +425,9 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
         if unknown:
             raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
         for key, value in loaded.items():
-            convert = _FLAG_TYPES.get(key)
-            if convert is not None and value is not None:
-                try:
-                    convert(value)
-                except (TypeError, ValueError) as exc:
-                    msg = f"config {args.config} key {key!r}: {value!r} is not a valid {convert.__name__}"
-                    raise ValueError(msg) from exc
+            kind = bool if key == "step1" else _FLAG_TYPES.get(key, str)
+            if not _config_value_ok(kind, value):
+                raise ValueError(f"config {args.config} key {key!r}: {value!r} is not a valid {kind.__name__}")
         cfg.update(loaded)
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg.update(explicit)

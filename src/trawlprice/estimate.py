@@ -23,7 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class
-from .simulate import PricePath, _window_sums, realized_pv, simulate_path
+from .simulate import PricePath, _running_move, _window_sums, realized_pv, simulate_path
 
 __all__ = [
     "DEFAULT_GRID",
@@ -111,11 +111,13 @@ def variance_grid(
     For each ``delta`` the path is cut into ``floor(span/delta)`` windows
     anchored at ``t_start``, with the boundary rule of
     :func:`~trawlprice.simulate.window_index`, and the sample variance
-    (denominator ``n-1``) of the integer returns is computed.  Only the
-    windows holding events are summed, so time and memory scale with the
-    number of events, not with ``span/delta``.  Window lengths admitting
-    fewer than two full windows are rejected, or dropped with a warning
-    when ``drop_incompatible`` is set.
+    (denominator ``n-1``) of the integer returns is computed.  The running
+    price move is summed once per path; each window holding events then
+    takes its return as a difference of that sum at window ends, so time
+    and memory per length scale with the number of events, not with
+    ``span/delta``.  Window lengths admitting fewer than two full windows
+    are rejected, or dropped with a warning when ``drop_incompatible`` is
+    set.
 
     Returns
     -------
@@ -128,9 +130,14 @@ def variance_grid(
         raise ValueError("window lengths must be finite and > 0")
     if np.any(np.diff(d_arr) <= 0.0):
         raise ValueError("window lengths must be strictly increasing")
+    rel, csum = _running_move(path)
+    # every window sum is a difference of two values in {0} u csum, so at
+    # most `reach` in size; below the bound no int64 sum of squares wraps
+    reach = int(np.max(csum, initial=0)) - int(np.min(csum, initial=0))
+    int64_squares = reach * reach * path.n_events < 2**63
     out_d, out_v, out_n = [], [], []
     for delta in d_arr:
-        n, _, sums = _window_sums(path, delta)
+        n, _, sums = _window_sums(rel, csum, path.span, delta)
         if n < 2:
             if drop_incompatible:
                 warnings.warn(
@@ -139,7 +146,11 @@ def variance_grid(
                 continue
             raise ValueError(f"window length {delta!r} admits fewer than 2 full windows")
         # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
-        total, squares = int(sums.sum()), int(np.dot(sums, sums))
+        if int64_squares:
+            total, squares = int(sums.sum()), int(np.dot(sums, sums))
+        else:  # Python ints cannot wrap
+            returns = sums.tolist()
+            total, squares = sum(returns), sum(r * r for r in returns)
         out_d.append(delta)
         out_v.append((n * squares - total * total) / (n * (n - 1)))
         out_n.append(n)

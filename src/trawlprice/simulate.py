@@ -252,22 +252,46 @@ def window_index(times, t_start: float, delta: float) -> np.ndarray:
     ``k = ceil((t - t_start) / delta)`` in floating point, so an event
     stamped on an edge (a millisecond stamp at a window length that is a
     multiple of 1 ms, say) lands in the same window in every signature and
-    return series.  Cost and memory are O(events); sorted times give
-    sorted indices.
+    return series.  :func:`_window_ceil` applies the rule to times already
+    taken relative to ``t_start``, which the signature forms once per path.
+    Cost and memory are O(events); sorted times give sorted indices.
     """
-    return np.ceil((np.asarray(times, dtype=float) - t_start) / delta).astype(np.int64)
+    return _window_ceil(np.asarray(times, dtype=float) - t_start, delta).astype(np.int64)
 
 
-def _window_sums(path: PricePath, delta: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _window_ceil(rel: np.ndarray, delta: float) -> np.ndarray:
+    """:func:`window_index` of the relative times ``rel = t - t_start``, as
+    integer-valued floats; one event-length array is allocated."""
+    k = np.divide(rel, delta, out=np.empty(np.shape(rel)))
+    return np.ceil(k, out=k)
+
+
+def _running_move(path: PricePath) -> tuple[np.ndarray, np.ndarray]:
+    """The per-path inputs of :func:`_window_sums`: the event times relative
+    to ``t_start`` followed by ``+inf``, and the running price move
+    ``cumsum(jumps)``."""
+    return np.append(path.times - path.t_start, np.inf), np.cumsum(path.jumps)
+
+
+def _window_sums(rel: np.ndarray, csum: np.ndarray, span: float, delta: float) -> tuple[int, np.ndarray, np.ndarray]:
     """The full windows of :func:`window_index` at one length: their count
-    ``n``, the indices of those holding events and their integer sums.
-    Cost and memory are O(events)."""
-    n = int(math.floor(path.span / delta))
-    k = window_index(path.times, path.t_start, delta)
+    ``n``, the indices of those holding events (as integer-valued floats)
+    and their integer sums.
+
+    ``rel`` and ``csum`` come from :func:`_running_move`.  A window's last
+    event is one whose successor lies in a later window; the ``+inf``
+    ending ``rel`` is that successor for the last event in a full window,
+    so a path with no event in a full window needs no special case.  A
+    window's sum is the running move at its last event less that at the
+    previous window's last event: exact, because int64 differences are
+    exact modulo 2**64 and so give every sum that fits.  Cost and memory
+    are O(events).
+    """
+    n = int(math.floor(span / delta))
+    k = _window_ceil(rel, delta)
     m = int(np.searchsorted(k, n, side="right"))  # events in full windows
-    k = k[:m]
-    starts = np.flatnonzero(np.diff(k, prepend=0))
-    return n, k[starts], np.add.reduceat(path.jumps[:m], starts)
+    last = np.flatnonzero(k[1 : m + 1] != k[:m])
+    return n, k[last], np.diff(csum[last], prepend=0)
 
 
 def returns_at(path: PricePath, delta: float) -> np.ndarray:
@@ -279,11 +303,11 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    n, windows, sums = _window_sums(path, delta)
+    n, windows, sums = _window_sums(*_running_move(path), path.span, delta)
     if n < 1:
         raise ValueError("delta exceeds the path span")
     out = np.zeros(n, dtype=np.int64)
-    out[windows - 1] = sums
+    out[windows.astype(np.int64) - 1] = sums
     return out
 
 

@@ -393,6 +393,16 @@ class TestRunner:
         assert (manifest["command"], manifest["inputs"], manifest["outputs"]) == (command, inputs, outputs)
         assert all(Path(file).exists() for file in outputs)
         assert capsys.readouterr().out.splitlines()[-1].startswith(f"{command}: ")
+        signature_counts = {"events", "window_lengths", "windows"}
+        keys = {"fit": signature_counts | {"nfev"}, "signature": signature_counts}.get(command, set())
+        assert set(manifest["counts"]) == keys
+        assert all(isinstance(v, int) and v > 0 for v in manifest["counts"].values())
+        if keys:
+            path = read_path_csv(path_csv, path_csv + ".meta.json")
+            grid = np.geomspace(0.1, 60.0, 60)
+            assert manifest["counts"]["events"] == path.n_events
+            assert manifest["counts"]["window_lengths"] == grid.size
+            assert manifest["counts"]["windows"] == sum(math.floor(path.span / d) for d in grid)
 
 
 class TestDefaultWorkers:
@@ -494,6 +504,25 @@ class TestExitCodes:
                      "--output", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"trawlprice simulate: config {cfg} key 't_end': [10] is not a valid float\n"
+
+    @pytest.mark.parametrize("command, loaded, error", [
+        ("fit", {"family": [1]}, "key 'family': [1] is not a valid str"),
+        ("simulate", {"output": 5}, "key 'output': 5 is not a valid str"),
+        ("clean", {"step1": "yes"}, "key 'step1': 'yes' is not a valid bool"),
+    ], ids=["list-for-str", "number-for-path", "str-for-bool"])
+    def test_config_option_of_wrong_json_type_is_data_error(self, tmp_path, params_file, capsys, command, loaded, error):
+        out = str(tmp_path / "x.out")
+        flags = {
+            "fit": ["--input", _simulate(tmp_path, params_file, t_end=2000.0), "--output", out],
+            "simulate": ["--params", params_file, "--t-end", "10", "--v0", "0", "--seed", "1"],
+            "clean": ["--input", str(DATA / "raw_ticks.csv"), "--tick-size", "0.25", "--output", out],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"trawlprice {command}: config {cfg} {error}\n"
+        assert not Path(out).exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

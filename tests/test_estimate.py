@@ -50,14 +50,18 @@ from conftest import BASE_B, BASE_LAM, BASE_NU
 from conftest import theoretical_stats as _theoretical_stats
 
 
-def _dense_variance(path: PricePath, delta: float) -> tuple[float, int]:
-    """Reference signature point: a return for every one of the
-    ``floor(span/delta)`` windows, then a two-pass variance."""
+def _dense_returns(path: PricePath, delta: float) -> np.ndarray:
+    """Reference returns: one for every one of the ``floor(span/delta)`` windows."""
     n = int(math.floor(path.span / delta))
     k = np.ceil((path.times - path.t_start) / delta).astype(np.int64)
     keep = k <= n
-    rets = np.bincount(k[keep], weights=path.jumps[keep], minlength=n + 1)[1:]
-    return float(np.var(rets, ddof=1)), n
+    return np.bincount(k[keep], weights=path.jumps[keep], minlength=n + 1)[1:]
+
+
+def _dense_variance(path: PricePath, delta: float) -> tuple[float, int]:
+    """Reference signature point: the dense returns' two-pass variance."""
+    rets = _dense_returns(path, delta)
+    return float(np.var(rets, ddof=1)), rets.size
 
 
 def _random_path(seed: int, n_events: int, t_start: float, t_end: float) -> PricePath:
@@ -75,6 +79,22 @@ def _millisecond_path(params, t_end: float, seed: int) -> PricePath:
     stamps, where = np.unique(np.ceil(path.times * 1000.0) / 1000.0, return_inverse=True)
     net = np.bincount(where, weights=path.jumps).astype(np.int64)
     return PricePath(v0=0, t_start=0.0, t_end=t_end, times=stamps[net != 0], jumps=net[net != 0])
+
+
+# (path, window lengths) cases for the sparse signature against dense references
+_SPARSE_CASES = [
+    # random paths with several jump sizes and a ragged tail
+    (_random_path(0, 2000, 0.0, 1000.0), np.geomspace(0.01, 300.0, 25)),
+    (_random_path(1, 500, 3.7, 977.3), np.geomspace(0.3, 400.0, 15)),
+    # most windows empty
+    (_random_path(2, 20, 0.0, 50000.0), [0.5, 7.0, 1000.0]),
+    # every event in the ragged tail beyond the last full window
+    (PricePath(v0=0, t_start=0.0, t_end=10.0, times=np.array([9.5, 9.9]), jumps=np.array([1, -2])),
+     [3.0, 4.5]),
+    # no events at all
+    (PricePath(v0=0, t_start=1.0, t_end=11.0, times=np.empty(0), jumps=np.empty(0, dtype=int)),
+     [1.0, 2.0]),
+]
 
 
 def _manual_path() -> PricePath:
@@ -166,22 +186,7 @@ class TestVarianceGrid:
         with pytest.raises(ValueError):
             variance_grid(_manual_path(), bad)
 
-    @pytest.mark.parametrize(
-        "path,deltas",
-        [
-            # random paths with several jump sizes and a ragged tail
-            (_random_path(0, 2000, 0.0, 1000.0), np.geomspace(0.01, 300.0, 25)),
-            (_random_path(1, 500, 3.7, 977.3), np.geomspace(0.3, 400.0, 15)),
-            # most windows empty
-            (_random_path(2, 20, 0.0, 50000.0), [0.5, 7.0, 1000.0]),
-            # every event in the ragged tail beyond the last full window
-            (PricePath(v0=0, t_start=0.0, t_end=10.0, times=np.array([9.5, 9.9]), jumps=np.array([1, -2])),
-             [3.0, 4.5]),
-            # no events at all
-            (PricePath(v0=0, t_start=1.0, t_end=11.0, times=np.empty(0), jumps=np.empty(0, dtype=int)),
-             [1.0, 2.0]),
-        ],
-    )
+    @pytest.mark.parametrize("path,deltas", _SPARSE_CASES)
     def test_sparse_matches_dense_reference(self, path, deltas):
         d, v, n = variance_grid(path, deltas)
         for i, delta in enumerate(d):
@@ -205,6 +210,38 @@ class TestVarianceGrid:
                 returns = returns_at(path, delta)
                 assert returns.dtype == np.int64 and returns.size == n[i]
                 assert_allclose(v[i], np.var(returns, ddof=1), rtol=1e-12)
+
+    def test_variance_is_the_exact_integer_formula(self):
+        # not merely close: the variance is (n*sum r^2 - (sum r)^2) / (n(n-1))
+        # in exact integers with one rounding, over returns equal to the
+        # dense reference, on every sparse case and on millisecond edges
+        params = ModelParams(
+            levy=LevyMeasure({1: 0.5, -1: 0.5}),
+            trawl=TrawlSpec(b=BASE_B, family=ExponentialTrawl(lam=BASE_LAM)),
+        )
+        millisecond = (_millisecond_path(params, 20000.0, 1), [0.01, 0.3, 0.7, 1.0])
+        for path, deltas in [*_SPARSE_CASES, millisecond]:
+            d, v, n = variance_grid(path, deltas)
+            for i, delta in enumerate(d):
+                returns = returns_at(path, float(delta))
+                assert_array_equal(returns, _dense_returns(path, float(delta)))
+                r = returns.tolist()
+                count, total, squares = len(r), sum(r), sum(x * x for x in r)
+                assert n[i] == count
+                assert v[i] == (count * squares - total * total) / (count * (count - 1))
+
+    @pytest.mark.parametrize(
+        "jumps", [[4_000_000_000, -4_000_000_000], [2**62, 2**62, -1]], ids=["squares-pass-int64", "running-move-wraps"]
+    )
+    def test_returns_beyond_int64_squares_are_exact(self, jumps):
+        # one move per 5 s window: the squares of the returns sum past 2**63,
+        # and in the second case the running price move itself wraps int64
+        path = PricePath(v0=0, t_start=0.0, t_end=15.0, times=[1.0, 6.0, 11.0][: len(jumps)], jumps=np.array(jumps))
+        r = jumps + [0] * (3 - len(jumps))
+        assert returns_at(path, 5.0).tolist() == r
+        _, v, n = variance_grid(path, [5.0])
+        assert n[0] == 3
+        assert v[0] == (3 * sum(x * x for x in r) - sum(r) ** 2) / 6
 
     def test_memory_scales_with_events(self):
         # 10^7 windows of 1 ms but only ~1k events: a dense pass would

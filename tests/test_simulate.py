@@ -381,6 +381,7 @@ class TestWindowIndex:
         edges = 8.0 + 0.25 * k
         assert_array_equal(window_index(edges, 8.0, 0.25), k)
         assert_array_equal(window_index(np.nextafter(edges, np.inf), 8.0, 0.25), k + 1)
+        assert window_index(8.5, 8.0, 0.25) == 2 and window_index(8.51, 8.0, 0.25) == 3  # scalar times
 
     def test_sorted_stamps_give_sorted_indices(self):
         times = np.arange(1, 30001) / 1000.0
