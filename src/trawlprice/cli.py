@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .clean import CleanConfig, clean_ticks, read_raw_csv
-from .estimate import bootstrap, collect_stats, fit_signature, variance_grid
+from .estimate import DEFAULT_GRID, bootstrap, collect_stats, fit_signature, variance_grid
 from .model import ModelParams
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
@@ -211,7 +211,7 @@ def _cmd_clean(cfg: dict) -> _Run:
 
 def _cmd_fit(cfg: dict) -> _Run:
     path = _load_path(cfg["input"], cfg.get("sidecar"))
-    stats = collect_stats(path, _grid_from_cfg(cfg), drop_incompatible=True)
+    stats = collect_stats(path, _grid_from_cfg(cfg))
     fit = fit_signature(stats, family=cfg["family"])
     _atomic_json(cfg["output"], fit.to_dict())
     sig_file = cfg.get("signature_output") or f"{cfg['output']}.signature.csv"
@@ -249,7 +249,7 @@ def _cmd_acf(cfg: dict) -> _Run:
 
 def _cmd_signature(cfg: dict) -> _Run:
     path = _load_path(cfg["input"], cfg.get("sidecar"))
-    deltas, variances, windows = variance_grid(path, _grid_from_cfg(cfg), drop_incompatible=True)
+    deltas, variances, windows = variance_grid(path, _grid_from_cfg(cfg))
     fitted = None
     inputs = [cfg["input"]]
     if cfg.get("fitted_params"):
@@ -316,7 +316,7 @@ def _default_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_GRID_DEFAULTS = {"grid_min": 0.1, "grid_max": 60.0, "grid_points": 60}
+_GRID_DEFAULTS = dict(grid_min=float(DEFAULT_GRID[0]), grid_max=float(DEFAULT_GRID[-1]), grid_points=DEFAULT_GRID.size)
 
 _COMMANDS = {
     "simulate": (
@@ -326,7 +326,8 @@ _COMMANDS = {
     ),
     "clean": (
         _cmd_clean,
-        {"input": None, "tick_size": None, "m_factor": 9.5, "step1": False, "diagnostics": None, "output": None},
+        {"input": None, "tick_size": None, "m_factor": CleanConfig.m_factor, "step1": CleanConfig.apply_step1,
+         "diagnostics": None, "output": None},
         ("input", "tick_size", "output"),
     ),
     "fit": (

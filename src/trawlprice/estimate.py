@@ -17,7 +17,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import optimize
@@ -40,8 +40,8 @@ __all__ = [
     "nonparametric_trawl",
 ]
 
-#: Window lengths (seconds) used by default for variance signatures:
-#: 60 log-spaced points from a tenth of a second to a minute.
+#: Window lengths (seconds) used by default for variance signatures: 60
+#: log-spaced points from exactly 0.1 s to exactly 60 s (the CLI reads them back).
 DEFAULT_GRID = np.geomspace(0.1, 60.0, 60)
 
 
@@ -54,7 +54,7 @@ class EmpiricalStats:
     alpha : dict
         Empirical jump-size frequencies (sum to 1).
     beta : dict
-        Power-variation rates ``sum |jump|^r / span`` keyed by order.
+        Power-variation rates ``sum |jump|^r / span`` keyed by the orders 0, 1 and 2.
     deltas, variances, counts : ndarray
         Variance-signature grid: window length, sample variance of the
         returns over that window, and the number of windows used.
@@ -79,18 +79,17 @@ class EmpiricalStats:
         return float(sum(y * y * a for y, a in self.alpha.items()) * b0)
 
 
-def jump_empirics(path: PricePath, r_orders: Sequence[float] = (0.0, 1.0, 2.0)) -> EmpiricalStats:
+def jump_empirics(path: PricePath) -> EmpiricalStats:
     """Count jump-size frequencies and power-variation rates for a path.
 
-    The order-0 rate (events per unit time) is always included since every
-    downstream estimator needs it.
+    ``beta`` holds the orders 0, 1 and 2; any other order is
+    ``realized_pv(path, r) / path.span``.
     """
     if path.n_events == 0:
         raise ValueError("path has no events; nothing to estimate from")
     sizes, counts = np.unique(path.jumps, return_counts=True)
     alpha = {int(y): c / path.n_events for y, c in zip(sizes, counts)}
-    orders = sorted({0.0} | {float(r) for r in r_orders})
-    beta = {r: realized_pv(path, r) / path.span for r in orders}
+    beta = {r: realized_pv(path, r) / path.span for r in (0.0, 1.0, 2.0)}
     empty = np.empty(0)
     return EmpiricalStats(
         alpha=alpha,
@@ -103,9 +102,7 @@ def jump_empirics(path: PricePath, r_orders: Sequence[float] = (0.0, 1.0, 2.0)) 
     )
 
 
-def variance_grid(
-    path: PricePath, deltas, drop_incompatible: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def variance_grid(path: PricePath, deltas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample variance of non-overlapping returns for each window length.
 
     For each ``delta`` the path is cut into ``floor(span/delta)`` windows
@@ -115,9 +112,9 @@ def variance_grid(
     price move is summed once per path; each window holding events then
     takes its return as a difference of that sum at window ends, so time
     and memory per length scale with the number of events, not with
-    ``span/delta``.  Window lengths admitting fewer than two full windows
-    are rejected, or dropped with a warning when ``drop_incompatible`` is
-    set.
+    ``span/delta``.  A window length admitting fewer than two full windows
+    is dropped with a warning; a ``ValueError`` is raised when no length
+    remains.
 
     Returns
     -------
@@ -139,12 +136,8 @@ def variance_grid(
     for delta in d_arr:
         n, _, sums = _window_sums(rel, csum, path.span, delta)
         if n < 2:
-            if drop_incompatible:
-                warnings.warn(
-                    f"dropping window length {delta!r}: fewer than 2 full windows", stacklevel=2
-                )
-                continue
-            raise ValueError(f"window length {delta!r} admits fewer than 2 full windows")
+            warnings.warn(f"dropping window length {delta!r}: fewer than 2 full windows", stacklevel=2)
+            continue
         # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
         if int64_squares:
             total, squares = int(sums.sum()), int(np.dot(sums, sums))
@@ -155,21 +148,16 @@ def variance_grid(
         out_v.append((n * squares - total * total) / (n * (n - 1)))
         out_n.append(n)
     if not out_d:
-        raise ValueError("no compatible window lengths remain")
+        raise ValueError("no compatible window lengths remain: each admits fewer than 2 full windows")
     return np.asarray(out_d), np.asarray(out_v), np.asarray(out_n, dtype=np.int64)
 
 
-def collect_stats(
-    path: PricePath,
-    deltas=None,
-    r_orders: Sequence[float] = (0.0, 1.0, 2.0),
-    drop_incompatible: bool = True,
-) -> EmpiricalStats:
-    """Jump empirics plus variance signature in one EmpiricalStats."""
+def collect_stats(path: PricePath, deltas=None) -> EmpiricalStats:
+    """Jump empirics plus the :func:`variance_grid` signature, on :data:`DEFAULT_GRID` by default."""
     if deltas is None:
         deltas = DEFAULT_GRID
-    base = jump_empirics(path, r_orders)
-    d, v, n = variance_grid(path, deltas, drop_incompatible=drop_incompatible)
+    base = jump_empirics(path)
+    d, v, n = variance_grid(path, deltas)
     return replace(base, deltas=d, variances=v, counts=n)
 
 
@@ -477,7 +465,7 @@ def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
     rng = np.random.default_rng([seed, index])
     try:
         path = simulate_path(params, 0.0, span, v0, rng)
-        stats = collect_stats(path, deltas, drop_incompatible=True)
+        stats = collect_stats(path, deltas)
         fit = fit_signature(stats, family=family)
     except ValueError as exc:
         return index, False, {}, str(exc)

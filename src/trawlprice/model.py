@@ -145,15 +145,15 @@ class LevyMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _invert_decreasing(func, targets, hi0: float = 1.0, rtol: float = 1e-10):
+def _invert_decreasing(func, targets):
     """Invert a continuous decreasing ``func`` on [0, inf) at ``targets``.
 
-    Brackets each root by doubling the upper end, then bisects to the
-    requested relative tolerance.  ``func`` must be vectorised and satisfy
-    ``func(0) >= target`` for every target.
+    Brackets each root by doubling an upper end that starts at 1, then
+    bisects to a relative tolerance of 1e-10.  ``func`` must be vectorised
+    and satisfy ``func(0) >= target`` for every target.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
-    hi = np.full(t.shape, float(hi0))
+    hi = np.ones(t.shape)
     for _ in range(200):
         open_mask = func(hi) > t
         if not open_mask.any():
@@ -167,7 +167,7 @@ def _invert_decreasing(func, targets, hi0: float = 1.0, rtol: float = 1e-10):
         go_left = func(mid) <= t
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
-        if np.all(hi - lo <= rtol * np.maximum(hi, 1e-300)):
+        if np.all(hi - lo <= 1e-10 * np.maximum(hi, 1e-300)):
             break
     return 0.5 * (lo + hi)
 

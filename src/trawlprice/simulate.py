@@ -14,6 +14,7 @@ exact to machine precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -88,7 +89,13 @@ class PricePath:
 
     @property
     def prices(self) -> np.ndarray:
-        """Price level immediately after each event."""
+        """Price level immediately after each event; a ``ValueError`` when
+        a level leaves the int64 range."""
+        if abs(self.v0) + float(np.abs(self.jumps, dtype=float).sum()) >= 2**62:  # a level may wrap
+            levels = list(itertools.accumulate(self.jumps.tolist(), initial=self.v0))
+            if not (-(2**63) <= min(levels) and max(levels) < 2**63):
+                raise ValueError("price level leaves the int64 range")
+        # int64 wrap in the running move cancels wherever the level is in range
         return self.v0 + np.cumsum(self.jumps)
 
     def price_at(self, t):
@@ -156,9 +163,10 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     and ``pair`` links each departure to its arrival's index (-1 for
     survivors and arrivals themselves).  ``pair`` indexes the drawn
     arrivals, so it skips any arrival dropped because its departure fell on
-    its own time stamp (a sub-ulp lifetime; counted in a warning).  Exposed
-    separately from :func:`simulate_path` so the pairing bookkeeping can be
-    checked directly.
+    its own time stamp (a sub-ulp lifetime; counted in a warning).  Survivors'
+    departures, fleeting departures and shown arrivals are stably sorted by
+    time, so a tie keeps that order.  Exposed separately from
+    :func:`simulate_path` so the pairing bookkeeping can be checked directly.
     """
     rng = _as_generator(rng)
     levy, trawl = params.levy, params.trawl
@@ -167,11 +175,6 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     surv = sample_initial_survivors(params, rng)
     s_times = t_start + surv.residuals
     s_keep = s_times <= t_end
-    ev_t = [s_times[s_keep]]
-    ev_j = [-surv.sizes[s_keep]]
-    ev_kind = [np.zeros(int(s_keep.sum()), dtype=np.int8)]
-    ev_pair = [np.full(int(s_keep.sum()), -1, dtype=np.int64)]
-    ev_seq = [np.flatnonzero(s_keep).astype(np.int64)]
 
     n_arr = int(rng.poisson(levy.total_mass * span))
     # 1 - U maps [0,1) draws onto (0,1] so arrivals land in (t_start, t_end]
@@ -179,10 +182,10 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     a_sizes = rng.choice(levy.sizes, size=n_arr, p=levy.probabilities) if n_arr else np.empty(0, dtype=np.int64)
     heights = rng.random(n_arr)
 
-    base = surv.count
     b = trawl.b
     fleeting = np.flatnonzero(heights > b)
     shown = np.ones(n_arr, dtype=bool)
+    departing, d_times = fleeting, np.empty(0)
     if fleeting.size:
         p_life = (heights[fleeting] - b) / (1.0 - b)
         lifetimes = np.atleast_1d(np.asarray(trawl.family.sample_lifetimes(p_life, rng)))
@@ -198,26 +201,15 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
                 stacklevel=3,
             )
         keep = (d_times <= t_end) & ~instant
-        idx = fleeting[keep]
-        ev_t.append(d_times[keep])
-        ev_j.append(-a_sizes[idx])
-        ev_kind.append(np.full(idx.size, 2, dtype=np.int8))
-        ev_pair.append(idx)
-        ev_seq.append(base + 2 * idx + 1)
-
+        departing, d_times = fleeting[keep], d_times[keep]
     arrivals = np.flatnonzero(shown)
-    ev_t.append(a_times[arrivals])
-    ev_j.append(a_sizes[arrivals])
-    ev_kind.append(np.ones(arrivals.size, dtype=np.int8))
-    ev_pair.append(np.full(arrivals.size, -1, dtype=np.int64))
-    ev_seq.append(base + 2 * arrivals)
 
-    times = np.concatenate(ev_t)
-    jumps = np.concatenate(ev_j).astype(np.int64)
-    kind = np.concatenate(ev_kind)
-    pair = np.concatenate(ev_pair)
-    seq = np.concatenate(ev_seq)
-    order = np.lexsort((seq, times))
+    counts = [int(s_keep.sum()), departing.size, arrivals.size]
+    times = np.concatenate([s_times[s_keep], d_times, a_times[arrivals]])
+    jumps = np.concatenate([-surv.sizes[s_keep], -a_sizes[departing], a_sizes[arrivals]]).astype(np.int64)
+    kind = np.repeat(np.array([0, 2, 1], dtype=np.int8), counts)
+    pair = np.concatenate([np.full(counts[0], -1), departing, np.full(counts[2], -1)])
+    order = np.argsort(times, kind="stable")
     return times[order], jumps[order], kind[order], pair[order]
 
 

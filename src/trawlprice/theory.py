@@ -147,23 +147,12 @@ def _auto_points(params: ModelParams, t: float) -> int:
     u = np.geomspace(1e-3, u_max, 400)
     psi = rate * np.sum(levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
 
-    def log_tail(m: float) -> float:
-        return float(np.min(psi - u * m))
-
-    m = int(abs_sizes.max()) + 1
-    while log_tail(m) > math.log(1e-10):
-        m *= 2
-        if m > 2**26:  # pragma: no cover - absurd intensity guard
-            raise ValueError("return distribution too spread out for FFT inversion")
-    lo, hi = m // 2, m
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if log_tail(mid) <= math.log(1e-10):
-            hi = mid
-        else:
-            lo = mid
-    m_star = max(hi, int(abs_sizes.max()) + 1)
-    return 2 * m_star
+    # the log tail bound min_u(psi_u - u m) falls as m grows, and is below
+    # log(1e-10) exactly from the least cutoff (psi_u - log(1e-10)) / u on
+    cutoff = float(np.min((psi - math.log(1e-10)) / u))
+    if not cutoff <= 2**26:  # pragma: no cover - absurd intensity guard
+        raise ValueError("return distribution too spread out for FFT inversion")
+    return 2 * max(math.ceil(cutoff), int(abs_sizes.max()) + 1)
 
 
 def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> PmfResult:

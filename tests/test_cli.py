@@ -443,6 +443,15 @@ class TestExitCodes:
         assert code == 2
         assert "cannot load model parameters" in capsys.readouterr().err
 
+    def test_price_beyond_int64_is_data_error(self, tmp_path, params_file, capsys):
+        # from the largest int64 start the first up move leaves the range
+        out = tmp_path / "path.csv"
+        code = main(["simulate", "--params", params_file, "--t-end", "20000", "--v0", str(2**63 - 1),
+                     "--seed", "1", "--output", str(out)])
+        assert code == 2
+        assert "int64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_path_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1.0,2\n")

@@ -121,9 +121,8 @@ class TestJumpEmpirics:
         assert stats.beta[2.0] == 0.7  # sum jump^2 = 7
         assert stats.n_events == 4 and stats.span == 10.0
 
-    def test_counting_order_always_included(self):
-        stats = jump_empirics(_manual_path(), r_orders=(2.0,))
-        assert 0.0 in stats.beta and 2.0 in stats.beta
+    def test_power_variation_orders_are_fixed(self):
+        assert set(jump_empirics(_manual_path()).beta) == {0.0, 1.0, 2.0}
 
     def test_empty_path_rejected(self):
         empty = PricePath(v0=0, t_start=0.0, t_end=1.0, times=np.empty(0), jumps=np.empty(0, dtype=int))
@@ -172,14 +171,14 @@ class TestVarianceGrid:
 
     def test_drop_mode_warns_and_drops(self):
         with pytest.warns(UserWarning, match="dropping"):
-            d, v, n = variance_grid(_manual_path(), [2.0, 6.0], drop_incompatible=True)
+            d, v, n = variance_grid(_manual_path(), [2.0, 6.0])
         assert_array_equal(d, [2.0])
 
     def test_all_dropped_raises(self):
         with pytest.raises(ValueError, match="no compatible"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                variance_grid(_manual_path(), [6.0, 7.0], drop_incompatible=True)
+                variance_grid(_manual_path(), [6.0, 7.0])
 
     @pytest.mark.parametrize("bad", [[], [0.0], [-1.0], [math.nan], [2.0, 1.0], [[1.0, 2.0]]])
     def test_rejects_malformed_grids(self, bad):
@@ -560,6 +559,14 @@ class TestFitSignature:
         fit = fit_signature(collect_stats(path), family="sup-gig")
         assert fit.converged
         assert fit.params.trawl.family.gamma == 50.0
+
+    def test_restarts_land_the_tail_index_on_its_bound(self, base_params):
+        # a bootstrap replica whose sup-gamma optimum sits on the bound H=50:
+        # one Nelder-Mead run stops just short of it, and the restarts from
+        # a fresh simplex reach it
+        path = simulate_path(base_params, 0.0, 75527.97, 7486, np.random.default_rng([5, 10]))
+        fit = fit_signature(collect_stats(path), family="sup-gamma")
+        assert fit.params.trawl.family.H == 50.0
 
     def test_path_scale_recovery(self, base_params):
         # one long simulated path: estimates land near the truth at

@@ -87,6 +87,21 @@ class TestPricePath:
         assert path.n_events == 0
         assert path.price_at(1.5) == 5
 
+    def test_price_beyond_int64_is_an_error(self, tmp_path):
+        # the price passes 2**63 between the second and third events, where
+        # an int64 running sum would wrap it to -2**63
+        path = PricePath(v0=0, t_start=0.0, t_end=15.0, times=[1.0, 6.0, 11.0], jumps=np.array([2**62, 2**62, -1]))
+        with pytest.raises(ValueError, match="int64"):
+            path.price_at(7.0)
+        with pytest.raises(ValueError, match="int64"):
+            write_path_csv(path, tmp_path / "p.csv", tmp_path / "p.csv.meta.json")
+
+    def test_prices_at_the_int64_limits_are_exact(self):
+        jumps = np.array([2**62 - 1, -(2**63) + 1, -(2**63)])
+        path = PricePath(v0=2**62, t_start=0.0, t_end=4.0, times=[1.0, 2.0, 3.0], jumps=jumps)
+        assert path.prices.tolist() == [2**63 - 1, 0, -(2**63)]
+        assert path.price_at(3.0) == -(2**63)
+
     def test_arrays_are_read_only(self):
         path = _manual_path()
         with pytest.raises(ValueError):

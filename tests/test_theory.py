@@ -19,6 +19,7 @@ from trawlprice import (
     LevyMeasure,
     ModelParams,
     SupGammaTrawl,
+    SupGigTrawl,
     TrawlSpec,
     acf,
     expected_pv,
@@ -193,6 +194,54 @@ class TestReturnPmf:
         )
         with pytest.raises(ValueError, match="single-jump support"):
             return_pmf(params, 1.0, n_points=8)
+
+    def test_auto_grid_size_is_the_least_chernoff_cutoff(self):
+        # the automatic size is the least cutoff whose Chernoff tail bound is
+        # below 1e-10; the reference finds it by doubling and bisection
+        rng = np.random.default_rng(20141)
+        for _ in range(50):
+            params, t = _random_model(rng)
+            assert return_pmf(params, t).support.size + 1 == _searched_grid_size(params, t)
+
+
+def _random_model(rng):
+    """A model with 1-5 jump sizes in +-8, b in [0, 1] and an exponential,
+    sup-gamma or sup-gig profile, with a horizon from 0.01 to 316."""
+    sizes = rng.choice([y for y in range(-8, 9) if y], size=int(rng.integers(1, 6)), replace=False)
+    levy = LevyMeasure({int(y): float(10 ** rng.uniform(-3, 0)) for y in sizes})
+    kind = rng.integers(3)
+    if kind == 0:
+        family = ExponentialTrawl(lam=10 ** rng.uniform(-2, 2))
+    elif kind == 1:
+        family = SupGammaTrawl(alpha=10 ** rng.uniform(-2, 2), H=rng.uniform(1.01, 5.0))
+    elif rng.random() < 0.3:
+        family = SupGigTrawl(gamma=0.0, delta_gig=10 ** rng.uniform(-2, 2), order=-rng.uniform(0.1, 3.0))
+    else:
+        family = SupGigTrawl(gamma=rng.uniform(0.01, 3.0), delta_gig=10 ** rng.uniform(-2, 2), order=rng.uniform(-3, 3))
+    trawl = TrawlSpec(b=float(rng.uniform(0.0, 1.0)), family=family)
+    return ModelParams(levy=levy, trawl=trawl), float(10 ** rng.uniform(-2, 2.5))
+
+
+def _searched_grid_size(params, t):
+    """The automatic pmf grid size found by searching: double the cutoff
+    from one past the largest jump until the tail bound is met, then
+    bisect down to the least cutoff that meets it."""
+    abs_sizes = np.abs(params.levy.sizes.astype(float))
+    rate = params.b * t + 2.0 * params.trawl.increment(t)
+    u = np.geomspace(1e-3, min(200.0 / float(abs_sizes.max()), 50.0), 400)
+    psi = rate * np.sum(params.levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
+
+    def met(m):
+        return float(np.min(psi - u * m)) <= math.log(1e-10)
+
+    m = int(abs_sizes.max()) + 1
+    while not met(m):
+        m *= 2
+    lo, hi = m // 2, m
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if met(mid) else (mid, hi)
+    return 2 * max(hi, int(abs_sizes.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
