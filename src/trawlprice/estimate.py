@@ -15,14 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
-from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class
+from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _LazyModule, sps
 from .simulate import PricePath, _running_move, _window_sums, realized_pv, simulate_path
 
 __all__ = [
@@ -39,6 +37,8 @@ __all__ = [
     "NonparametricTrawl",
     "nonparametric_trawl",
 ]
+
+optimize = _LazyModule("scipy.optimize")
 
 #: Window lengths (seconds) used by default for variance signatures: 60
 #: log-spaced points from exactly 0.1 s to exactly 60 s (the CLI reads them back).
@@ -136,7 +136,7 @@ def variance_grid(path: PricePath, deltas) -> tuple[np.ndarray, np.ndarray, np.n
     for delta in d_arr:
         n, _, sums = _window_sums(rel, csum, path.span, delta)
         if n < 2:
-            warnings.warn(f"dropping window length {delta!r}: fewer than 2 full windows", stacklevel=2)
+            warnings.warn(f"dropping window length {float(delta)}: fewer than 2 full windows", stacklevel=2)
             continue
         # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
         if int64_squares:
@@ -528,6 +528,9 @@ def bootstrap(
     deltas = np.asarray(deltas, dtype=float)
     jobs = [(params, float(span), int(v0), family, int(seed), i, deltas) for i in range(int(n_paths))]
     if n_workers is not None and n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel bootstrap needs it
+
+        optimize.minimize, sps.kve  # import scipy once, before the workers fork, not in each of them
         with ProcessPoolExecutor(max_workers=int(n_workers)) as pool:
             raw = list(pool.map(_bootstrap_one, jobs, chunksize=max(1, n_paths // (4 * n_workers))))
     else:
@@ -585,6 +588,12 @@ class NonparametricTrawl:
         return TrawlSpec(b=self.b, family=TabulatedTrawl(s, d))
 
 
+def _slope(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of ``y`` on ``x`` along the last axis, ``Σ(x−x̄)(y−ȳ) / Σ(x−x̄)²``."""
+    dx = x - x.mean(axis=-1, keepdims=True)
+    return np.sum(dx * (y - y.mean(axis=-1, keepdims=True)), axis=-1) / np.sum(dx * dx, axis=-1)
+
+
 def nonparametric_trawl(stats: EmpiricalStats) -> NonparametricTrawl:
     """Recover ``b`` and the trawl profile from variogram slopes.
 
@@ -611,12 +620,11 @@ def nonparametric_trawl(stats: EmpiricalStats) -> NonparametricTrawl:
     v = stats.variances[order]
     s0 = stats.second_moment_rate()
 
-    slopes = np.empty(n)
-    for i in range(n):
-        j0, j1 = max(0, i - 1), min(n, i + 2)
-        slopes[i] = np.polyfit(d[j0:j1], v[j0:j1], 1)[0]
+    # each point's slope over itself and its neighbours: 2 points at the ends, 3 inside
+    triples = np.lib.stride_tricks.sliding_window_view
+    slopes = np.concatenate([[_slope(d[:2], v[:2])], _slope(triples(d, 3), triples(v, 3)), [_slope(d[-2:], v[-2:])]])
     tail = slice(3 * n // 4, n)
-    s_inf = float(np.polyfit(d[tail], v[tail], 1)[0])
+    s_inf = float(_slope(d[tail], v[tail]))
 
     if s0 - s_inf <= 1e-10 * abs(s0):
         return NonparametricTrawl(b=1.0, deltas=d, d_tilde=np.ones(n), s0=s0, s_inf=s_inf)

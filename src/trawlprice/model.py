@@ -18,14 +18,15 @@ area ``leb_area = (1 - b) * integral d_tilde``, the overlap
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special as sps
 
 __all__ = [
     "LevyMeasure",
@@ -38,6 +39,24 @@ __all__ = [
     "ModelParams",
     "bessel_k",
 ]
+
+
+class _LazyModule(types.ModuleType):
+    """Stand-in for the module named ``name``, imported on its first attribute read.
+
+    That read copies the module's namespace in and turns the stand-in into a
+    plain module, so later reads cost what any module attribute costs.  Only
+    the sup-GIG kernels, ``bessel_k`` and the fits need scipy, and importing it
+    takes most of a fresh ``import trawlprice``.
+    """
+
+    def __getattr__(self, attr):
+        vars(self).update(vars(importlib.import_module(self.__name__)))
+        self.__class__ = types.ModuleType
+        return getattr(self, attr)
+
+
+sps = _LazyModule("scipy.special")
 
 
 def _match(values: np.ndarray, template) -> "float | np.ndarray":

@@ -349,6 +349,10 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
                 usecols=(0, 1), ndmin=1, comments=None, unpack=True,
             )
     v0 = int(meta["v0"])
+    if abs(v0) + max(int(prices.max(initial=0)), -int(prices.min(initial=0))) >= 2**62:  # a jump may wrap
+        levels = [v0, *prices.tolist()]
+        if not all(-(2**63) <= after - before < 2**63 for before, after in zip(levels, levels[1:])):
+            raise ValueError("price move leaves the int64 range")
     jumps = np.diff(np.concatenate([[v0], prices]))
     seed = meta.get("seed")
     return PricePath(

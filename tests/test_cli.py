@@ -452,6 +452,15 @@ class TestExitCodes:
         assert "int64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    def test_move_beyond_int64_is_data_error(self, tmp_path, capsys, command):
+        # the move from -1 to the largest int64 price is 2**63, one past the int64 range
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,price_ticks\n100.0,{2**63 - 1}\n200.0,0\n")
+        (tmp_path / "bad.csv.meta.json").write_text('{"v0": -1, "t_start": 0.0, "t_end": 1000.0, "seed": null}')
+        assert main([command, "--input", str(bad), "--output", str(tmp_path / "out")]) == 2
+        assert "int64" in capsys.readouterr().err
+
     def test_malformed_path_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1.0,2\n")

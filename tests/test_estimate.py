@@ -170,7 +170,7 @@ class TestVarianceGrid:
             variance_grid(_manual_path(), [6.0])
 
     def test_drop_mode_warns_and_drops(self):
-        with pytest.warns(UserWarning, match="dropping"):
+        with pytest.warns(UserWarning, match=r"dropping window length 6\.0: "):
             d, v, n = variance_grid(_manual_path(), [2.0, 6.0])
         assert_array_equal(d, [2.0])
 
@@ -715,16 +715,42 @@ class TestNonparametricTrawl:
             nonparametric_trawl(_theoretical_stats(base_params, deltas=np.linspace(1, 5, 12)))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time; only a sup-GIG
-    # simulation with gamma > 0 needs it, for its GIG mixing draws
+def test_import_leaves_scipy_stats_unloaded(tmp_path, base_params):
+    # `import trawlprice` loads numpy only.  scipy.special and scipy.optimize
+    # load on first use (sup-GIG kernels, bessel_k, the fits); scipy.stats,
+    # about half a second more, only for a sup-GIG simulation with gamma > 0
     src = str(Path(trawlprice.__file__).parents[1])
-    head = f"import sys; sys.path.insert(0, {src!r}); import trawlprice as tp; "
-    simulate = (
+    raw = str(Path(__file__).parent / "data" / "raw_ticks.csv")
+    params = tmp_path / "params.json"
+    base_params.to_json(params)
+    head = (
+        f"import sys; sys.path.insert(0, {src!r}); import trawlprice as tp; "
+        "scipy = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not scipy(), scipy(); "
         "p = tp.ModelParams(levy=tp.LevyMeasure({1: 0.5, -1: 0.5}), "
         "trawl=tp.TrawlSpec(b=0.4, family=tp.ExponentialTrawl(lam=0.7))); "
-        "assert tp.simulate_path(p, 0.0, 100.0, 0, 1).n_events > 0; "
     )
-    for body in ("", simulate):
-        code = head + body + "sys.exit('scipy.stats' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    numpy_only = "assert not scipy() and 'concurrent.futures.process' not in sys.modules, scipy(); "
+    bodies = {
+        "exponential model and clean": (
+            "path = tp.simulate_path(p, 0.0, 1000.0, 0, 1); assert path.n_events > 0; "
+            "tp.return_pmf(p, 1.0); tp.acf(p, 1.0, 5); tp.collect_stats(path); "
+            f"tp.clean_ticks(tp.read_raw_csv({raw!r}), tp.CleanConfig(tick_size=0.25, m_factor=9.5, apply_step1=True)); "
+            + numpy_only
+        ),
+        "cli simulate": (
+            f"argv = ['simulate', '--params', {str(params)!r}, '--t-end', '1000', '--v0', '0', '--seed', '1', "
+            f"'--output', {str(tmp_path / 'path.csv')!r}]; assert tp.main(argv) == 0; " + numpy_only
+        ),
+        "first use": (
+            "tp.SupGigTrawl(gamma=1.0, delta_gig=0.05, order=1.6).increment(tp.DEFAULT_GRID); "
+            "tp.fit_signature(tp.collect_stats(tp.simulate_path(p, 0.0, 1000.0, 0, 1)), 'exponential'); "
+            "import scipy.optimize, scipy.special; "
+            "assert sys.modules['trawlprice.model'].sps.kve is scipy.special.kve; "
+            "assert sys.modules['trawlprice.estimate'].optimize.minimize is scipy.optimize.minimize; "
+            "assert 'scipy.stats' not in sys.modules; "
+        ),
+    }
+    for what, body in bodies.items():
+        run = subprocess.run([sys.executable, "-c", head + body], capture_output=True, text=True)
+        assert run.returncode == 0, f"{what}: {run.stderr}"

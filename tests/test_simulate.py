@@ -464,6 +464,25 @@ class TestPathCsv:
         with pytest.raises(ValueError):
             read_path_csv(csv_file, meta)
 
+    @pytest.mark.parametrize(("v0", "price"), [(-1, 2**63 - 1), (1, -(2**63))])
+    def test_move_beyond_int64_is_an_error(self, tmp_path, v0, price):
+        # int64 differences would wrap the move 2**63 to -2**63 and -(2**63 + 1) to 2**63 - 1
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text(f"time,price_ticks\n1.0,{price}\n")
+        meta = tmp_path / "p.meta.json"
+        meta.write_text(f'{{"v0": {v0}, "t_start": 0.0, "t_end": 3.0, "seed": null}}')
+        with pytest.raises(ValueError, match="int64"):
+            read_path_csv(csv_file, meta)
+
+    def test_moves_at_the_int64_limits_are_exact(self, tmp_path):
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text(f"time,price_ticks\n1.0,{2**63 - 2}\n2.0,-2\n")
+        meta = tmp_path / "p.meta.json"
+        meta.write_text('{"v0": -1, "t_start": 0.0, "t_end": 3.0, "seed": null}')
+        path = read_path_csv(csv_file, meta)
+        assert path.jumps.tolist() == [2**63 - 1, -(2**63)]
+        assert returns_at(path, 1.0).tolist() == [2**63 - 1, -(2**63), 0]
+
     def test_header_only_file_is_an_empty_path(self, tmp_path):
         csv_file = tmp_path / "empty.csv"
         csv_file.write_text("time,price_ticks\n")
