@@ -14,48 +14,30 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .clean import CleanConfig, clean_ticks, read_raw_csv
+from .clean import CleanConfig, _fmt, clean_ticks, read_raw_csv
 from .estimate import DEFAULT_GRID, bootstrap, collect_stats, fit_signature, variance_grid
 from .model import ModelParams
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
 from .theory import return_cumulant, return_pmf
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 _USAGE_ERROR, _DATA_ERROR, _NO_CONVERGENCE = 1, 2, 3
 
 
 class _UsageError(Exception):
     """A missing required option; maps to exit code 1 (a ``ValueError`` or ``OSError`` maps to 2)."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every output."""
-
-    command: str
-    config: dict
-    seed: int | None
-    inputs: list
-    outputs: list
-    version: str
-    runtime_s: float
-    counts: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -100,31 +82,19 @@ def _atomic_json(path: str, payload: dict) -> None:
 
 
 def _write_manifest(command: str, cfg: dict, run: _Run, started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=cfg,
-        seed=cfg.get("seed"),
-        inputs=list(run.inputs),
-        outputs=list(run.outputs),
-        version=__version__,
-        runtime_s=round(time.monotonic() - started, 6),
-        counts=dict(run.counts),
-    )
-    _atomic_json(f"{cfg['output']}.manifest.json", manifest.to_dict())
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    """The reproducibility record beside the primary output: the resolved
+    configuration, inputs, outputs, package version, runtime and counts."""
+    manifest = {
+        "command": command, "config": cfg, "seed": cfg.get("seed"), "inputs": run.inputs,
+        "outputs": run.outputs, "version": __version__,
+        "runtime_s": round(time.monotonic() - started, 6), "counts": run.counts,
+    }
+    _atomic_json(f"{cfg['output']}.manifest.json", manifest)
 
 
 def _atomic_csv(path: str, header: list[str], rows) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    """Cells are ints, ``repr`` floats or empty, so none needs quoting."""
+    _atomic_write_text(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 def _write_signature(path: str, deltas, empirical, fitted=None) -> None:
@@ -318,74 +288,64 @@ def _default_workers() -> int:
 
 _GRID_DEFAULTS = dict(grid_min=float(DEFAULT_GRID[0]), grid_max=float(DEFAULT_GRID[-1]), grid_points=DEFAULT_GRID.size)
 
+_REQUIRED = object()  # the default of an option that a run cannot do without
+
+# each command's function and its options with their defaults, in flag order
 _COMMANDS = {
     "simulate": (
         _cmd_simulate,
-        {"params": None, "t_start": 0.0, "t_end": None, "v0": None, "seed": None, "output": None},
-        ("params", "t_end", "v0", "seed", "output"),
+        {"params": _REQUIRED, "t_start": 0.0, "t_end": _REQUIRED, "v0": _REQUIRED, "seed": _REQUIRED,
+         "output": _REQUIRED},
     ),
     "clean": (
         _cmd_clean,
-        {"input": None, "tick_size": None, "m_factor": CleanConfig.m_factor, "step1": CleanConfig.apply_step1,
-         "diagnostics": None, "output": None},
-        ("input", "tick_size", "output"),
+        {"input": _REQUIRED, "tick_size": _REQUIRED, "m_factor": CleanConfig.m_factor,
+         "step1": CleanConfig.apply_step1, "diagnostics": None, "output": _REQUIRED},
     ),
     "fit": (
         _cmd_fit,
-        {
-            "input": None, "sidecar": None, "family": "exponential", "signature_output": None,
-            "output": None, **_GRID_DEFAULTS,
-        },
-        ("input", "output"),
+        {"input": _REQUIRED, "sidecar": None, "family": "exponential", "signature_output": None,
+         "output": _REQUIRED, **_GRID_DEFAULTS},
     ),
-    "pmf": (
-        _cmd_pmf,
-        {"params": None, "t": None, "n_points": None, "output": None},
-        ("params", "t", "output"),
-    ),
-    "acf": (
-        _cmd_acf,
-        {"params": None, "delta": None, "k_max": 10, "output": None},
-        ("params", "delta", "output"),
-    ),
+    "pmf": (_cmd_pmf, {"params": _REQUIRED, "t": _REQUIRED, "n_points": None, "output": _REQUIRED}),
+    "acf": (_cmd_acf, {"params": _REQUIRED, "delta": _REQUIRED, "k_max": 10, "output": _REQUIRED}),
     "signature": (
         _cmd_signature,
-        {"input": None, "sidecar": None, "fitted_params": None, "output": None, **_GRID_DEFAULTS},
-        ("input", "output"),
+        {"input": _REQUIRED, "sidecar": None, "fitted_params": None, "output": _REQUIRED, **_GRID_DEFAULTS},
     ),
     "bootstrap": (
         _cmd_bootstrap,
-        {
-            "params": None, "span": None, "v0": None, "n_paths": None, "family": None, "seed": None,
-            "workers": _default_workers(), "output": None, **_GRID_DEFAULTS,
-        },
-        ("params", "span", "v0", "n_paths", "seed", "output"),
+        {"params": _REQUIRED, "span": _REQUIRED, "v0": _REQUIRED, "n_paths": _REQUIRED, "family": None,
+         "seed": _REQUIRED, "workers": _default_workers(), "output": _REQUIRED, **_GRID_DEFAULTS},
     ),
 }
 
 _FLAG_HELP = {"seed": "random seed (bootstrap seeds its replicas with it)"}
 
+# an option's type when it is not ``str``; a ``bool`` option is a switch
 _FLAG_TYPES = {
     "t_start": float, "t_end": float, "v0": int, "seed": int, "tick_size": float,
-    "m_factor": float, "grid_min": float, "grid_max": float, "grid_points": int,
+    "m_factor": float, "step1": bool, "grid_min": float, "grid_max": float, "grid_points": int,
     "t": float, "n_points": int, "delta": float, "k_max": int, "span": float, "n_paths": int,
     "workers": int,
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trawlprice", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"trawlprice {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, defaults, _required) in _COMMANDS.items():
+    for name, (_, defaults) in _COMMANDS.items():
         sub = subs.add_parser(name, help=f"{name} (see README)")
         sub.add_argument("--config", default=None, help="JSON file of option values (a run manifest also works)")
         for key in defaults:
-            if key == "step1":
-                sub.add_argument("--step1", action="store_true", default=argparse.SUPPRESS)
-                continue
-            flag = "--" + key.replace("_", "-")
-            sub.add_argument(flag, type=_FLAG_TYPES.get(key, str), default=argparse.SUPPRESS, help=_FLAG_HELP.get(key))
+            kind = _FLAG_TYPES.get(key, str)
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            sub.add_argument(_flag(key), **how, default=argparse.SUPPRESS, help=_FLAG_HELP.get(key))
     return parser
 
 
@@ -409,7 +369,7 @@ def _config_value_ok(kind: type, value) -> bool:
     return True
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
+def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config is not None:
         try:
@@ -426,15 +386,15 @@ def _resolve_config(args: argparse.Namespace, defaults: dict, required) -> dict:
         if unknown:
             raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
         for key, value in loaded.items():
-            kind = bool if key == "step1" else _FLAG_TYPES.get(key, str)
+            kind = _FLAG_TYPES.get(key, str)
             if not _config_value_ok(kind, value):
                 raise ValueError(f"config {args.config} key {key!r}: {value!r} is not a valid {kind.__name__}")
         cfg.update(loaded)
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg.update(explicit)
-    missing = [k for k in required if cfg.get(k) is None]
+    missing = [k for k, d in defaults.items() if d is _REQUIRED and (cfg[k] is None or cfg[k] is _REQUIRED)]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        flags = ", ".join(map(_flag, missing))
         raise _UsageError(f"missing required option(s): {flags}")
     return cfg
 
@@ -445,9 +405,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return _USAGE_ERROR
-    func, defaults, required = _COMMANDS[args.command]
+    func, defaults = _COMMANDS[args.command]
     try:
-        cfg = _resolve_config(args, defaults, required)
+        cfg = _resolve_config(args, defaults)
         started = time.monotonic()
         run = func(cfg)
         _write_manifest(args.command, cfg, run, started)

@@ -72,6 +72,8 @@ class PricePath:
                 raise ValueError("event times must be strictly increasing")
             if np.any(jumps == 0) or not np.issubdtype(jumps.dtype, np.integer):
                 raise ValueError("jumps must be nonzero integers")
+            if jumps.dtype.kind == "u" and jumps.max() >= 2**63:
+                raise ValueError("jumps must lie in the int64 range")
         jumps = jumps.astype(np.int64)
         times.setflags(write=False)
         jumps.setflags(write=False)
@@ -349,6 +351,8 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
                 usecols=(0, 1), ndmin=1, comments=None, unpack=True,
             )
     v0 = int(meta["v0"])
+    if not -(2**63) <= v0 < 2**63:
+        raise ValueError(f"v0 {v0} leaves the int64 range")
     if abs(v0) + max(int(prices.max(initial=0)), -int(prices.min(initial=0))) >= 2**62:  # a jump may wrap
         levels = [v0, *prices.tolist()]
         if not all(-(2**63) <= after - before < 2**63 for before, after in zip(levels, levels[1:])):

@@ -105,8 +105,11 @@ class PmfResult:
         Masses aligned with ``support``; tiny negative inversion noise is
         clamped to zero.
     aliasing_bound : float
-        Bound on the mass lost outside the support (and hence wrapped
-        around by the discrete inversion): ``|1 - sum(probabilities)|``.
+        Bound on the mass of the return outside the support, which the
+        discrete inversion wraps onto it: the larger of the Chernoff tail
+        bound at ``m + 1`` and ``|1 - sum(probabilities)|``.  It is at most
+        1e-10 on the automatic grid and can reach 1 on a grid too small
+        for the law.
     """
 
     support: np.ndarray
@@ -132,27 +135,29 @@ class PmfResult:
         return 0.0
 
 
-def _auto_points(params: ModelParams, t: float) -> int:
-    """Smallest even grid size whose tail mass is below 1e-10.
+def _chernoff(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points ``u`` and log-MGFs ``psi`` of a Chernoff bound on the return's
+    tails: ``P(|P_t - P_0| >= k) <= exp(min_u(psi_u - u k))``.
 
     The absolute return is stochastically dominated by the total tick
     distance ``W`` moved by a compound Poisson process with mean measure
-    ``(b t + 2 increment(t)) nu``; a Chernoff bound on ``W`` controls the
-    mass beyond any cutoff.
+    ``(b t + 2 increment(t)) nu``, whose log-MGF at ``u`` is ``psi_u``.
     """
     levy = params.levy
     rate = params.b * t + 2.0 * params.trawl.increment(t)
     abs_sizes = np.abs(levy.sizes.astype(float))
-    u_max = min(200.0 / float(abs_sizes.max()), 50.0)
-    u = np.geomspace(1e-3, u_max, 400)
-    psi = rate * np.sum(levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
+    u = np.geomspace(1e-3, min(200.0 / float(abs_sizes.max()), 50.0), 400)
+    return u, rate * np.sum(levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
 
+
+def _auto_points(params: ModelParams, u: np.ndarray, psi: np.ndarray) -> int:
+    """Smallest even grid size whose Chernoff tail bound is below 1e-10."""
     # the log tail bound min_u(psi_u - u m) falls as m grows, and is below
     # log(1e-10) exactly from the least cutoff (psi_u - log(1e-10)) / u on
     cutoff = float(np.min((psi - math.log(1e-10)) / u))
     if not cutoff <= 2**26:  # pragma: no cover - absurd intensity guard
         raise ValueError("return distribution too spread out for FFT inversion")
-    return 2 * max(math.ceil(cutoff), int(abs_sizes.max()) + 1)
+    return 2 * max(math.ceil(cutoff), int(np.abs(params.levy.sizes).max()) + 1)
 
 
 def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> PmfResult:
@@ -161,11 +166,12 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
     One discrete Fourier inversion of the characteristic function on
     ``n_points`` angles gives the law wrapped modulo ``n_points``; choosing
     the grid large enough (automatic when ``n_points`` is omitted) makes
-    the wrapping error, reported as ``aliasing_bound``, negligible.
+    the wrapping error, bounded by ``aliasing_bound``, negligible.
     """
     t = _check_horizon(t)
+    u, psi = _chernoff(params, t)
     if n_points is None:
-        n = _auto_points(params, t)
+        n = _auto_points(params, u, psi)
     else:
         n = int(n_points)
         if n != n_points or n < 4 or n % 2 != 0:
@@ -184,7 +190,8 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
             f"CF inversion produced mass {probs.min():.3e} < -1e-12; grid too small"
         )
     probs = np.clip(probs, 0.0, None)
-    bound = max(abs(1.0 - raw_sum), abs(1.0 - float(probs.sum())))
+    tail = math.exp(min(0.0, float(np.min(psi - u * (m + 1)))))
+    bound = max(abs(1.0 - raw_sum), abs(1.0 - float(probs.sum())), tail)
     return PmfResult(support=support, probabilities=probs, aliasing_bound=bound)
 
 

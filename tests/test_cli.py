@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -416,6 +417,41 @@ class TestDefaultWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert cli._default_workers() == 3
 
+    @pytest.mark.parametrize("env, workers", [("0", 1), ("abc", 2)], ids=["zero-gives-one", "non-integer-ignored"])
+    def test_unusable_environment_value(self, monkeypatch, env, workers):
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", env)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._default_workers() == workers
+
+
+class TestOptionTables:
+    def test_typed_defaults_have_their_type(self):
+        # an option's type is declared once, in _FLAG_TYPES; a default that
+        # is not None, a string or the required marker must be of that type
+        typed = {}
+        for _, defaults in cli._COMMANDS.values():
+            for key, default in defaults.items():
+                if default is not None and default is not cli._REQUIRED and not isinstance(default, str):
+                    assert type(default) is cli._FLAG_TYPES.get(key), key
+                    typed[key] = type(default)
+        assert typed == {
+            "t_start": float, "m_factor": float, "step1": bool, "grid_min": float, "grid_max": float,
+            "grid_points": int, "k_max": int, "workers": int,
+        }
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out
+        for key in cli._COMMANDS[command][1]:
+            assert re.search(rf"^  --{key.replace('_', '-')}(\s|$)", listed, re.M), key
+
+    def test_every_typed_flag_is_an_option(self):
+        options = {key for _, defaults in cli._COMMANDS.values() for key in defaults}
+        assert set(cli._FLAG_TYPES) <= options
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -425,6 +461,15 @@ class TestExitCodes:
     def test_missing_required_option_is_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "--params" in capsys.readouterr().err
+
+    def test_missing_options_are_listed_in_flag_order(self, tmp_path, params_file, capsys):
+        # a config that sets a required option to null leaves it missing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": null, "span": 10.0}')
+        assert main(["bootstrap", "--config", str(cfg), "--params", params_file, "--v0", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "trawlprice bootstrap: missing required option(s): --n-paths, --seed, --output\n"
+        )
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -460,6 +505,24 @@ class TestExitCodes:
         (tmp_path / "bad.csv.meta.json").write_text('{"v0": -1, "t_start": 0.0, "t_end": 1000.0, "seed": null}')
         assert main([command, "--input", str(bad), "--output", str(tmp_path / "out")]) == 2
         assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    def test_start_price_beyond_int64_is_data_error(self, tmp_path, capsys, command):
+        # a 1-tick move down from 2**63, a start price that int64 cannot hold
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,price_ticks\n100.0,{2**63 - 1}\n")
+        (tmp_path / "bad.csv.meta.json").write_text(f'{{"v0": {2**63}, "t_start": 0.0, "t_end": 1000.0, "seed": null}}')
+        assert main([command, "--input", str(bad), "--output", str(tmp_path / "out")]) == 2
+        assert f"v0 {2**63} leaves the int64 range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    @pytest.mark.parametrize("flags", [["--grid-min", "0"], ["--grid-points", "1"]], ids=["min-zero", "one-point"])
+    def test_invalid_grid_is_data_error(self, tmp_path, params_file, capsys, command, flags):
+        path_csv = _simulate(tmp_path, params_file, t_end=500.0)
+        out = tmp_path / "out"
+        assert main([command, "--input", path_csv, *flags, "--output", str(out)]) == 2
+        assert "invalid grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_path_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -513,6 +576,22 @@ class TestExitCodes:
         out = tmp_path / "c.csv"
         assert main(["clean", "--input", str(raw), "--tick-size", "0.25", "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"trawlprice clean: cannot read raw feed from {raw}: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "cannot read config {cfg}: "),
+        ('{"t_end": 10', "cannot read config {cfg}: "),
+        ("[1, 2]", "config {cfg} must hold a JSON object\n"),
+    ], ids=["missing-file", "invalid-json", "json-array"])
+    def test_unreadable_config_is_data_error(self, tmp_path, params_file, capsys, text, error):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--params", params_file, "--config", str(cfg), "--t-end", "10", "--v0", "0",
+                     "--seed", "1", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("trawlprice simulate: " + error.format(cfg=cfg))
         assert not out.exists()
 
     def test_config_value_of_wrong_type_is_data_error(self, tmp_path, params_file, capsys):

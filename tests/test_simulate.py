@@ -102,6 +102,13 @@ class TestPricePath:
         assert path.prices.tolist() == [2**63 - 1, 0, -(2**63)]
         assert path.price_at(3.0) == -(2**63)
 
+    def test_unsigned_jump_beyond_int64_is_an_error(self):
+        # an int64 cast would wrap the jump 2**63 to -2**63
+        with pytest.raises(ValueError, match="int64"):
+            PricePath(v0=0, t_start=0.0, t_end=2.0, times=[1.0], jumps=np.array([2**63], dtype=np.uint64))
+        path = PricePath(v0=0, t_start=0.0, t_end=2.0, times=[1.0], jumps=np.array([2**63 - 1], dtype=np.uint64))
+        assert path.jumps.dtype == np.int64 and path.jumps.tolist() == [2**63 - 1]
+
     def test_arrays_are_read_only(self):
         path = _manual_path()
         with pytest.raises(ValueError):
@@ -472,6 +479,16 @@ class TestPathCsv:
         meta = tmp_path / "p.meta.json"
         meta.write_text(f'{{"v0": {v0}, "t_start": 0.0, "t_end": 3.0, "seed": null}}')
         with pytest.raises(ValueError, match="int64"):
+            read_path_csv(csv_file, meta)
+
+    @pytest.mark.parametrize(("v0", "price"), [(2**63, 2**63 - 1), (-(2**63) - 1, -(2**63))])
+    def test_start_price_beyond_int64_is_named(self, tmp_path, v0, price):
+        # the move is 1 tick, but the start price itself leaves int64
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text(f"time,price_ticks\n1.0,{price}\n")
+        meta = tmp_path / "p.meta.json"
+        meta.write_text(f'{{"v0": {v0}, "t_start": 0.0, "t_end": 3.0, "seed": null}}')
+        with pytest.raises(ValueError, match=f"v0 {v0} leaves the int64 range"):
             read_path_csv(csv_file, meta)
 
     def test_moves_at_the_int64_limits_are_exact(self, tmp_path):

@@ -178,6 +178,20 @@ class TestReturnPmf:
         pmf = return_pmf(base_params, 1.0, n_points=8)
         assert abs(pmf.probabilities.sum() - 1.0) <= pmf.aliasing_bound + 1e-15
 
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_explicit_grid_bound_covers_the_mass_outside(self, n):
+        # the sum defect sees only the mass wrapped onto the dropped point
+        # +-n/2; the bound must cover all the mass beyond +-m
+        params = ModelParams(
+            levy=LevyMeasure({1: 0.5, -1: 0.5, 2: 0.1, -2: 0.1}),
+            trawl=TrawlSpec(b=0.4, family=ExponentialTrawl(lam=0.5)),
+        )
+        full = return_pmf(params, 60.0)
+        m = n // 2 - 1
+        outside = full.probabilities[np.abs(full.support) > m].sum()
+        assert outside > 1e-4
+        assert return_pmf(params, 60.0, n_points=n).aliasing_bound >= outside
+
     def test_prob_outside_support_is_zero(self, base_params):
         pmf = return_pmf(base_params, 1.0)
         assert pmf.prob(10**9) == 0.0
