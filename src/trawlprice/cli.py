@@ -290,7 +290,8 @@ _GRID_DEFAULTS = dict(grid_min=float(DEFAULT_GRID[0]), grid_max=float(DEFAULT_GR
 
 _REQUIRED = object()  # the default of an option that a run cannot do without
 
-# each command's function and its options with their defaults, in flag order
+# each command's function and its options with their defaults, in flag order;
+# a callable default is called when the options are resolved
 _COMMANDS = {
     "simulate": (
         _cmd_simulate,
@@ -316,7 +317,7 @@ _COMMANDS = {
     "bootstrap": (
         _cmd_bootstrap,
         {"params": _REQUIRED, "span": _REQUIRED, "v0": _REQUIRED, "n_paths": _REQUIRED, "family": None,
-         "seed": _REQUIRED, "workers": _default_workers(), "output": _REQUIRED, **_GRID_DEFAULTS},
+         "seed": _REQUIRED, "workers": _default_workers, "output": _REQUIRED, **_GRID_DEFAULTS},
     ),
 }
 
@@ -370,7 +371,7 @@ def _config_value_ok(kind: type, value) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
+    cfg = {k: d() if callable(d) else d for k, d in defaults.items()}
     if args.config is not None:
         try:
             with open(args.config) as fh:

@@ -516,26 +516,30 @@ def bootstrap(
     so results are identical for any ``n_workers``; replicas that fail to
     converge or raise are excluded from the summary, counted, and listed
     with the reason in ``failures`` (``"<Type>: <text>"`` for exceptions
-    other than ``ValueError``).
+    other than ``ValueError``).  ``n_workers`` is an integer >= 1, or
+    None for a serial run.
     """
-    if int(n_paths) != n_paths or n_paths < 2:
+    if not (n_paths >= 2 and float(n_paths).is_integer()):
         raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
+    if n_workers is not None and not (n_workers >= 1 and float(n_workers).is_integer()):
+        raise ValueError(f"need an integer worker count >= 1, got {n_workers!r}")
+    n_paths = int(n_paths)
     if family is None:
         family = params.trawl.family.name
     _fit_family(family)
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)
-    jobs = [(params, float(span), int(v0), family, int(seed), i, deltas) for i in range(int(n_paths))]
+    jobs = [(params, float(span), int(v0), family, int(seed), i, deltas) for i in range(n_paths)]
     if n_workers is not None and n_workers > 1:
+        n_workers = int(n_workers)
         from concurrent.futures import ProcessPoolExecutor  # only a parallel bootstrap needs it
 
         optimize.minimize, sps.kve  # import scipy once, before the workers fork, not in each of them
-        with ProcessPoolExecutor(max_workers=int(n_workers)) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             raw = list(pool.map(_bootstrap_one, jobs, chunksize=max(1, n_paths // (4 * n_workers))))
     else:
         raw = [_bootstrap_one(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     names = sorted({k for _, ok, est, _ in raw if ok for k in est}, key=lambda n: (n != "b", n))
     table = np.full((len(raw), len(names)), np.nan)

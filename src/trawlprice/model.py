@@ -59,6 +59,15 @@ class _LazyModule(types.ModuleType):
 sps = _LazyModule("scipy.special")
 
 
+def _integer_or_none(y) -> int | None:
+    """``y`` as an int, or None for a finite non-integer; a ``ValueError`` where ``y`` is not finite."""
+    try:
+        yi = int(y)
+    except (ValueError, OverflowError):  # nan, inf
+        raise ValueError(f"need a finite value, got {y!r}") from None
+    return yi if yi == y else None
+
+
 def _match(values: np.ndarray, template) -> "float | np.ndarray":
     """Return a float for scalar input, an ndarray otherwise."""
     if np.ndim(template) == 0:
@@ -127,7 +136,8 @@ class LevyMeasure:
         return dict(self._intensities)
 
     def __getitem__(self, y: int) -> float:
-        return self._intensities.get(int(y), 0.0)
+        """``nu(y)``: 0.0 off the support, a finite non-integer ``y`` included."""
+        return self._intensities.get(_integer_or_none(y), 0.0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LevyMeasure) and self._intensities == other._intensities
@@ -164,33 +174,6 @@ class LevyMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _invert_decreasing(func, targets):
-    """Invert a continuous decreasing ``func`` on [0, inf) at ``targets``.
-
-    Brackets each root by doubling an upper end that starts at 1, then
-    bisects to a relative tolerance of 1e-10.  ``func`` must be vectorised
-    and satisfy ``func(0) >= target`` for every target.
-    """
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    hi = np.ones(t.shape)
-    for _ in range(200):
-        open_mask = func(hi) > t
-        if not open_mask.any():
-            break
-        hi[open_mask] *= 2.0
-    else:  # pragma: no cover - pathological profile
-        raise RuntimeError("failed to bracket root while inverting trawl profile")
-    lo = np.zeros_like(hi)
-    for _ in range(160):
-        mid = 0.5 * (lo + hi)
-        go_left = func(mid) <= t
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_left, lo, mid)
-        if np.all(hi - lo <= 1e-10 * np.maximum(hi, 1e-300)):
-            break
-    return 0.5 * (lo + hi)
-
-
 class Coord(NamedTuple):
     """A fit coordinate; bounds and grid box are in natural units."""
 
@@ -214,16 +197,16 @@ class TrawlFamily(ABC):
     :meth:`from_params` and the signature fit all read it; an empty table
     is not fittable.
 
-    A family writes only array kernels, each called with the validated
-    array followed by the ``coords`` fields in table order (none for a
-    family without a table): ``_d_tilde(s)``, ``_area()``,
-    ``_overlap(t)`` and ``_increment(t)``, plus ``_lifetime(p)`` and
-    ``_residual(q)`` where a closed form beats the default bisection, and
-    ``_sample_lifetimes(p, rng)`` and ``_sample_residuals(q, rng)`` where
-    an exact mixture draw beats the quantiles.  A parametric family writes
-    ``_increment`` as a static method that broadcasts over arrays of its
-    fields and gives nan for shapes the constructor rejects: the signature
-    fit calls it on a whole grid of shapes at once.
+    A family writes exactly six array kernels, each called with the
+    validated array followed by the ``coords`` fields in table order (none
+    for a family without a table): ``_d_tilde(s)``, ``_area()``,
+    ``_overlap(t)``, ``_increment(t)``, ``_sample_lifetimes(p, rng)`` and
+    ``_sample_residuals(q, rng)``.  The sampling pair draws the lifetime
+    law exactly, by a closed-form inverse CDF that leaves ``rng``
+    untouched or by a mixture draw from ``rng``.  A parametric family
+    writes ``_increment`` as a static method that broadcasts over arrays
+    of its fields and gives nan for shapes the constructor rejects: the
+    signature fit calls it on a whole grid of shapes at once.
     """
 
     name: str = "abstract"
@@ -249,39 +232,25 @@ class TrawlFamily(ABC):
         """The constructor fields named by ``coords``, in table order."""
         return tuple(getattr(self, c.attr) for c in self.coords.values())
 
-    def lifetime_quantile(self, p):
-        """Smallest ``t >= 0`` with ``d_tilde(-t) <= 1 - p``, for ``p in [0, 1)``.
-
-        This is the quantile function of a fleeting move's lifetime: the
-        profile value at ``-t`` is the probability that a move born with
-        uniform height survives past age ``t``.
-        """
-        return self._at_levels(self._lifetime, p, "[0,1)")
-
-    def residual_quantile(self, q):
-        """Invert the stationary residual-lifetime survival ``overlap(t)/area``.
-
-        Returns ``t >= 0`` with ``overlap(t) = q * area`` for ``q in (0, 1]``;
-        used to seed moves already alive at the start of a simulation window.
-        """
-        return self._at_levels(self._residual, q, "(0,1]")
-
     def sample_lifetimes(self, p, rng):
         """Lifetimes of fleeting moves, one per level ``p in [0, 1)``.
 
-        Given iid uniform levels, the draws follow the law of
-        :meth:`lifetime_quantile`.  By default they are that quantile, and
-        ``rng`` (a numpy Generator) is left untouched; a family with an
-        exact mixture form turns ``p`` into the exponential clock and draws
-        its mixing rates from ``rng``.
+        Given iid uniform levels, the draws have survival function
+        ``d_tilde(-t)``: the probability that a move born with uniform
+        height survives past age ``t``.  A family with a closed-form
+        inverse returns the smallest ``t`` with ``d_tilde(-t) <= 1 - p``
+        and leaves ``rng`` (a numpy Generator) untouched; a mixture family
+        turns ``p`` into the exponential clock and draws its mixing rates
+        from ``rng``.
         """
         return self._at_levels(self._sample_lifetimes, p, "[0,1)", rng)
 
     def sample_residuals(self, q, rng):
         """Residual lifetimes of moves alive at a window start, one per ``q in (0, 1]``.
 
-        The counterpart of :meth:`sample_lifetimes` for the law of
-        :meth:`residual_quantile`.
+        The counterpart of :meth:`sample_lifetimes` for the stationary
+        residual law, whose survival function is ``overlap(t) / area``; a
+        closed-form inverse returns ``t`` with ``overlap(t) = q * area``.
         """
         return self._at_levels(self._sample_residuals, q, "(0,1]", rng)
 
@@ -306,21 +275,13 @@ class TrawlFamily(ABC):
     def _increment(self, t, *fields):
         """Profile integral up to ages ``t >= 0``."""
 
-    def _lifetime(self, p, *fields):
-        """Lifetime quantiles by bisection on the profile."""
-        return _invert_decreasing(lambda t: self._d_tilde(-t, *fields), 1.0 - np.atleast_1d(p))
-
-    def _residual(self, q, *fields):
-        """Residual-lifetime quantiles by bisection on the overlap."""
-        return _invert_decreasing(lambda t: self._overlap(t, *fields), self._area(*fields) * np.atleast_1d(q))
-
+    @abstractmethod
     def _sample_lifetimes(self, p, rng, *fields):
-        """Lifetime draws: the quantiles at ``p``, with nothing taken from ``rng``."""
-        return self._lifetime(p, *fields)
+        """Lifetime draws at levels ``p in [0, 1)``."""
 
+    @abstractmethod
     def _sample_residuals(self, q, rng, *fields):
-        """Residual-lifetime draws: the quantiles at ``q``, with nothing taken from ``rng``."""
-        return self._residual(q, *fields)
+        """Residual-lifetime draws at levels ``q in (0, 1]``."""
 
     def params(self) -> dict:
         """JSON-ready parameter mapping (inverse of :meth:`from_params`)."""
@@ -363,11 +324,11 @@ class ExponentialTrawl(TrawlFamily):
             return np.where(lam > 0.0, -np.expm1(-lam * t) / lam, np.nan)
 
     @staticmethod
-    def _lifetime(p, lam):
+    def _sample_lifetimes(p, rng, lam):
         return -np.log1p(-p) / lam
 
     @staticmethod
-    def _residual(q, lam):
+    def _sample_residuals(q, rng, lam):
         return -np.log(q) / lam
 
 
@@ -418,11 +379,11 @@ class SupGammaTrawl(TrawlFamily):
         return np.where((alpha > 0.0) & (H >= 1.0), val, np.nan)
 
     @staticmethod
-    def _lifetime(p, alpha, H):
+    def _sample_lifetimes(p, rng, alpha, H):
         return alpha * np.expm1(-np.log1p(-p) / H)
 
     @classmethod
-    def _residual(cls, q, alpha, H):
+    def _sample_residuals(cls, q, rng, alpha, H):
         cls._area(alpha, H)  # the residual law needs a finite area
         return alpha * np.expm1(-np.log(q) / (H - 1.0))
 
@@ -449,8 +410,7 @@ class SupGigTrawl(TrawlFamily):
     (Barndorff-Nielsen, Lunde, Shephard & Veraart, *Integer-valued trawl
     processes*, 2014).  A residual lifetime is the same with ``lam`` drawn
     from the 1/lam size-biased law, GIG of order ``order - 1``.  The
-    sampling pair draws these mixtures; the public quantiles keep the
-    default bisection.
+    sampling pair draws these mixtures.
     """
 
     gamma: float
@@ -611,7 +571,7 @@ class TabulatedTrawl(TrawlFamily):
     def _overlap(self, t):
         return self._cum[0] - self._increment(t)
 
-    def _lifetime(self, p):
+    def _sample_lifetimes(self, p, rng):
         v = 1.0 - np.atleast_1d(p)
         idx = np.searchsorted(self._d, v, side="right")  # first knot with value > v
         out = np.empty(v.shape)
@@ -627,7 +587,7 @@ class TabulatedTrawl(TrawlFamily):
         out[mid] = -s_star
         return out
 
-    def _residual(self, q):
+    def _sample_residuals(self, q, rng):
         target = (1.0 - np.atleast_1d(q)) * self._cum[0]  # increment(t) to hit
         # self._cum decreases along the knots; bracket the containing segment
         idx = np.searchsorted(self._cum[::-1], target, side="left")

@@ -7,9 +7,10 @@ alive at the window start are seeded from the stationary law: a Poisson
 count with mean ``||nu|| * leb_area`` and residual lifetimes whose
 survival function is the normalised overlap.  Both are drawn by the
 family's sampling pair, ``sample_lifetimes`` and ``sample_residuals``,
-from the uniforms drawn here: the inverse-CDF quantiles by default, an
-exact mixture draw for sup-GIG.  No discretisation is involved; paths are
-exact to machine precision.
+from the uniforms drawn here: a closed-form inverse CDF for the
+exponential, sup-gamma and tabulated families, an exact mixture draw for
+sup-GIG.  No discretisation is involved; paths are exact to machine
+precision.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def sample_initial_survivors(params: ModelParams, rng) -> SurvivorSet:
     The count is Poisson with mean ``||nu|| * leb_area``; sizes are iid
     from ``nu / ||nu||``; residual lifetimes, with survival function
     ``overlap(t) / leb_area``, come from the family's ``sample_residuals``
-    at iid uniforms (the inverse of that survival function, unless the
-    family draws an exact mixture from ``rng``).
+    at iid uniforms.
     """
     rng = _as_generator(rng)
     leb = params.trawl.leb_area()
@@ -153,8 +153,8 @@ def sample_initial_survivors(params: ModelParams, rng) -> SurvivorSet:
     n = int(rng.poisson(params.levy.total_mass * leb))
     sizes = rng.choice(params.levy.sizes, size=n, p=params.levy.probabilities)
     u = rng.random(n)
-    residuals = np.asarray(params.trawl.family.sample_residuals(u, rng)) if n else np.empty(0)
-    return SurvivorSet(sizes=sizes, residuals=np.atleast_1d(residuals))
+    residuals = params.trawl.family.sample_residuals(u, rng) if n else np.empty(0)
+    return SurvivorSet(sizes=sizes, residuals=residuals)
 
 
 def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
@@ -190,7 +190,7 @@ def _generate_events(params: ModelParams, t_start: float, t_end: float, rng):
     departing, d_times = fleeting, np.empty(0)
     if fleeting.size:
         p_life = (heights[fleeting] - b) / (1.0 - b)
-        lifetimes = np.atleast_1d(np.asarray(trawl.family.sample_lifetimes(p_life, rng)))
+        lifetimes = trawl.family.sample_lifetimes(p_life, rng)
         d_times = a_times[fleeting] + lifetimes
         # a lifetime below half an ulp of its arrival time puts the departure
         # on the arrival's stamp; the pair nets to zero at one instant, so no

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LevyMeasure, ModelParams
+from .model import LevyMeasure, ModelParams, _integer_or_none
 
 __all__ = [
     "return_cumulant",
@@ -128,9 +128,9 @@ class PmfResult:
         return float(np.sum((self.support - m) ** j * self.probabilities))
 
     def prob(self, y: int) -> float:
-        y = int(y)
-        m = int(self.support[-1])
-        if -m <= y <= m:
+        """``P(return = y)``: 0.0 off the support, a finite non-integer ``y`` included."""
+        y, m = _integer_or_none(y), int(self.support[-1])
+        if y is not None and -m <= y <= m:
             return float(self.probabilities[y + m])
         return 0.0
 

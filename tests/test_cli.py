@@ -369,6 +369,14 @@ class TestBootstrap:
                      "--grid-points", "3", "--workers", "1", "--output", out]) == 2
         assert "no compatible window lengths remain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_is_data_error(self, tmp_path, params_file, capsys, workers):
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "1800", "--v0", "0",
+                     "--n-paths", "2", "--seed", "3", "--workers", workers, "--output", out]) == 2
+        assert f"worker count >= 1, got {workers}" in capsys.readouterr().err
+        assert not Path(out).exists()
+
 
 class TestRunner:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -423,14 +431,24 @@ class TestDefaultWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert cli._default_workers() == workers
 
+    def test_environment_is_read_when_a_run_starts(self, tmp_path, params_file, monkeypatch):
+        # the variable is set after trawlprice.cli was imported
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", "1")
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "1800", "--v0", "0",
+                     "--n-paths", "2", "--seed", "3", "--grid-points", "30", "--output", out]) == 0
+        assert json.loads(Path(out + ".manifest.json").read_text())["config"]["workers"] == 1
+
 
 class TestOptionTables:
     def test_typed_defaults_have_their_type(self):
         # an option's type is declared once, in _FLAG_TYPES; a default that
-        # is not None, a string or the required marker must be of that type
+        # is not None, a string or the required marker must be of that type,
+        # and a callable default must return that type
         typed = {}
         for _, defaults in cli._COMMANDS.values():
             for key, default in defaults.items():
+                default = default() if callable(default) else default
                 if default is not None and default is not cli._REQUIRED and not isinstance(default, str):
                     assert type(default) is cli._FLAG_TYPES.get(key), key
                     typed[key] = type(default)

@@ -603,6 +603,22 @@ class TestBootstrap:
         assert_array_equal(serial.estimates, pooled.estimates)
         assert serial.se == pooled.se
 
+    def test_integral_float_replica_count_runs_in_a_pool(self, base_params):
+        # 16 replicas over 2 workers give the pool a chunk size of 2
+        serial = bootstrap(base_params, span=1800.0, v0=0, n_paths=16, seed=8, n_workers=None)
+        pooled = bootstrap(base_params, span=1800.0, v0=0, n_paths=16.0, seed=8, n_workers=2)
+        assert_array_equal(serial.estimates, pooled.estimates)
+        assert serial.se == pooled.se
+
+    @pytest.mark.parametrize("n_workers", [0, -3, 2.5, math.inf, math.nan])
+    def test_bad_worker_count_rejected_before_simulating(self, base_params, monkeypatch, n_workers):
+        def no_simulation(*args, **kw):
+            raise AssertionError("a replica was simulated")
+
+        monkeypatch.setattr(estimate, "simulate_path", no_simulation)
+        with pytest.raises(ValueError, match="worker count"):
+            bootstrap(base_params, span=100.0, v0=0, n_paths=2, n_workers=n_workers)
+
     def test_failure_reasons_reported(self, base_params):
         # every window length exceeds half the span: each replica fails
         # for the same stated reason
@@ -651,8 +667,9 @@ class TestBootstrap:
             bootstrap(base_params, span=1800.0, v0=0, n_paths=2, seed=8, n_workers=None)
 
     def test_rejects_degenerate_requests(self, base_params):
-        with pytest.raises(ValueError, match="at least 2"):
-            bootstrap(base_params, span=100.0, v0=0, n_paths=1)
+        for n_paths in (1, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="at least 2"):
+                bootstrap(base_params, span=100.0, v0=0, n_paths=n_paths)
         with pytest.raises(ValueError, match="parametric"):
             bootstrap(base_params, span=100.0, v0=0, n_paths=2, family="tabulated")
 

@@ -196,6 +196,16 @@ class TestReturnPmf:
         pmf = return_pmf(base_params, 1.0)
         assert pmf.prob(10**9) == 0.0
 
+    @pytest.mark.parametrize("y", [0.5, -0.5, 1.5, np.float64(-2.25)])
+    def test_prob_of_a_non_integer_is_zero(self, skellam_params, y):
+        # an integer return puts no mass between the integers
+        assert return_pmf(skellam_params, 1.0).prob(y) == 0.0
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_prob_of_a_non_finite_value_raises(self, skellam_params, y):
+        with pytest.raises(ValueError, match="finite"):
+            return_pmf(skellam_params, 1.0).prob(y)
+
     @pytest.mark.parametrize("n", [5, 7, 2, 0, -4, 3.5])
     def test_rejects_bad_grid_sizes(self, base_params, n):
         with pytest.raises(ValueError):
