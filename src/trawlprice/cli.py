@@ -277,12 +277,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_workers() -> int:
+    """``TRAWLPRICE_WORKERS`` when set and not empty, else the CPU affinity count."""
     env = os.environ.get("TRAWLPRICE_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"TRAWLPRICE_WORKERS must be an integer >= 1, got {env!r}")
+        return workers
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -291,7 +295,8 @@ _GRID_DEFAULTS = dict(grid_min=float(DEFAULT_GRID[0]), grid_max=float(DEFAULT_GR
 _REQUIRED = object()  # the default of an option that a run cannot do without
 
 # each command's function and its options with their defaults, in flag order;
-# a callable default is called when the options are resolved
+# a callable default is called when the options are resolved, and only
+# for an option that neither a flag nor a config sets
 _COMMANDS = {
     "simulate": (
         _cmd_simulate,
@@ -371,7 +376,7 @@ def _config_value_ok(kind: type, value) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = {k: d() if callable(d) else d for k, d in defaults.items()}
+    cfg = dict(defaults)
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -397,7 +402,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     if missing:
         flags = ", ".join(map(_flag, missing))
         raise _UsageError(f"missing required option(s): {flags}")
-    return cfg
+    return {k: v() if callable(v) else v for k, v in cfg.items()}
 
 
 def main(argv=None) -> int:

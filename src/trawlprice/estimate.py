@@ -13,6 +13,7 @@ The estimation strategy uses only jump counts and a variance signature:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -221,6 +222,15 @@ _GRID_BLOCK = 256
 _POLISH_RUNS = 3
 _POLISH_MAXFEV = 40000
 
+# a grid's profile rows depend only on the family, the window lengths and the
+# grid's points, never on the data, so each process keeps them for its later
+# fits; past this many bytes the least recently used go first (a sup-gamma
+# grid on the 60 default lengths holds 1.8 MB, a sup-gig grid 1.1 MB, and a
+# heavy-tail study's grids and re-grids 3.9 MB together)
+_GRID_CACHE_BYTES = 8 << 20
+_grid_cache: dict[tuple, np.ndarray] = {}
+_grid_cache_lock = threading.Lock()
+
 
 def _fit_family(name: str) -> type[TrawlFamily]:
     """The family class a signature fit searches, after the checks that
@@ -248,6 +258,39 @@ def _shape_fields(cls: type[TrawlFamily], theta: np.ndarray) -> list[np.ndarray]
         np.array([[math.exp(x)] for x in col]) if c.log else col[:, None]
         for c, col in zip(cls.coords.values(), theta.T)
     ]
+
+
+def _profile(cls: type[TrawlFamily], deltas: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Profile ratios ``g = increment(delta)/delta``, one row per row of search coordinates."""
+    return cls._increment(deltas, *_shape_fields(cls, theta)) / deltas
+
+
+def _grid_blocks(cls: type[TrawlFamily], deltas: np.ndarray, grid: np.ndarray):
+    """The profile rows of a grid, ``_GRID_BLOCK`` rows at a time.
+
+    The rows of a grid are computed once per process and kept read-only in
+    ``_grid_cache``, keyed on the family, the window lengths and the grid's
+    points; a grid whose rows exceed ``_GRID_CACHE_BYTES`` on their own is
+    computed block by block and not kept.
+    """
+    starts = range(0, len(grid), _GRID_BLOCK)
+    key = (cls, deltas.dtype.str, deltas.tobytes(), grid.tobytes())
+    with _grid_cache_lock:
+        rows = _grid_cache.pop(key, None)
+        if rows is not None:
+            _grid_cache[key] = rows  # the most recently used entry goes last
+    if rows is None:
+        if len(grid) * deltas.size * 8 > _GRID_CACHE_BYTES:
+            return (_profile(cls, deltas, grid[j : j + _GRID_BLOCK]) for j in starts)
+        rows = np.empty((len(grid), deltas.size))
+        for j in starts:
+            rows[j : j + _GRID_BLOCK] = _profile(cls, deltas, grid[j : j + _GRID_BLOCK])
+        rows.flags.writeable = False
+        with _grid_cache_lock:
+            _grid_cache[key] = rows
+            while sum(r.nbytes for r in _grid_cache.values()) > _GRID_CACHE_BYTES:
+                del _grid_cache[next(iter(_grid_cache))]
+    return (rows[j : j + _GRID_BLOCK] for j in starts)
 
 
 @dataclass(frozen=True)
@@ -295,7 +338,18 @@ def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarra
     projection gives the constrained minimum.  Returns ``(c, residuals,
     objective)``, one row or entry per shape, the residuals being
     ``empirical - curve``; a row with a non-finite ratio has objective inf.
+    A single row, as in every polish step, takes 1-d dot products and clips
+    ``c`` as a float: the same bits as the stacked rows, with less numpy
+    call overhead.
     """
+    if len(g) == 1:
+        row = g[0]
+        u = s0 * (1.0 - row)
+        a = empirical - s0 * row
+        uu = float(u.dot(u))
+        c = min(max(float(u.dot(a)) / uu, _C_BOUNDS[0]), _C_BOUNDS[1]) if uu > 0.0 else 1.0
+        r = a - c * u
+        return np.array([c]), r[None], np.array([float(r.dot(r)) if math.isfinite(uu) else math.inf])
     u = s0 * (1.0 - g)
     a = empirical - s0 * g
     uu = _rowdot(u, u)  # finite exactly when the row's ratios are, short of overflow
@@ -306,13 +360,16 @@ def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarra
     return c, r, np.where(np.isfinite(uu), _rowdot(r, r), np.inf)
 
 
-def _grid_polish(objective, bounds, box):
-    """Minimise a vectorised objective over rows of shape coordinates.
+def _grid_polish(cls, deltas, score, bounds, box):
+    """Minimise ``score`` over shape coordinates, ``score`` mapping rows of
+    profile ratios to objective values.
 
     The objective is evaluated on a grid spanning the box, a block of rows
-    per call; a best point on an edge of the box that is not a hard bound
-    re-grids once with that side pushed out to the bound.  The best grid
-    point is polished within the bounds: one coordinate by bounded Brent
+    per call, on profile rows that :func:`_grid_blocks` computes once per
+    process for each family, set of window lengths and grid; a best point on
+    an edge of the box that is not a hard bound re-grids once with that
+    side pushed out to the bound.  The best grid point is polished within
+    the bounds, one shape per evaluation: one coordinate by bounded Brent
     inside its bracket, more by bounded Nelder-Mead, restarted where a run
     stops while that improves.  Returns the kept point, whether the last
     polish run converged, and the search's diagnostics.
@@ -323,7 +380,7 @@ def _grid_polish(objective, bounds, box):
     for _ in range(2):
         axes = [np.linspace(lo, hi, points) for lo, hi in box]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        values = np.concatenate([objective(grid[j : j + _GRID_BLOCK]) for j in range(0, len(grid), _GRID_BLOCK)])
+        values = np.concatenate([score(g) for g in _grid_blocks(cls, deltas, grid)])
         size += values.size
         i = int(np.argmin(values))
         where = np.unravel_index(i, (points,) * dim)
@@ -338,11 +395,15 @@ def _grid_polish(objective, bounds, box):
         box = pushed
     value, axes, where = best
     x, fun = np.array([axis[k] for axis, k in zip(axes, where)]), value
+
+    def objective(theta: np.ndarray) -> np.ndarray:
+        return score(_profile(cls, deltas, theta[None]))[0]
+
     if dim == 1:
         axis, k = axes[0], where[0]
         bracket = (axis[max(k - 1, 0)], axis[min(k + 1, points - 1)])
         res = optimize.minimize_scalar(
-            lambda t: objective(np.array([[t]]))[0], bounds=bracket, method="bounded", options={"xatol": 1e-10}
+            lambda t: objective(np.array([t])), bounds=bracket, method="bounded", options={"xatol": 1e-10}
         )
         if res.fun < fun:
             x, fun = np.array([res.x]), res.fun
@@ -359,8 +420,7 @@ def _grid_polish(objective, bounds, box):
             simplex = np.vstack([x, x + np.diag(np.where(x + cell > upper, -cell, cell))])
             options = {"initial_simplex": simplex, "xatol": 1e-11, "fatol": max(1e-24, 1e-12 * fun),
                        "maxfev": budget, "maxiter": budget}
-            res = optimize.minimize(lambda t: objective(t[None])[0], x, method="Nelder-Mead", bounds=bounds,
-                                    options=options)
+            res = optimize.minimize(objective, x, method="Nelder-Mead", bounds=bounds, options=options)
             if not res.fun < fun:
                 break
             x, fun = res.x, res.fun
@@ -397,6 +457,14 @@ def fit_signature(
 
     The search coordinates, their bounds and the grid box come from the
     family's ``coords`` table; scale parameters are searched on log scale.
+    The grid's profile rows ``inc(delta)/delta`` depend only on the family,
+    the window lengths and the grid's points, so each process computes them
+    once and keeps them, read-only and bounded in bytes, for its later fits
+    on the same lengths (a one-shot fit gains nothing from this); a
+    bootstrap pool warms one such cache per worker.  Each fit projects its
+    own data onto the rows, and ``nfev`` counts a cached row as one
+    evaluation, so a fit's result and diagnostics do not depend on what
+    the process fitted before.
     ``n_starts`` is ignored but must still be an integer >= 1; it stays
     only because the benchmark's workloads and tests pass it.  Returns a
     :class:`FitResult` whose Levy measure is re-derived from the jump
@@ -415,20 +483,16 @@ def fit_signature(
     s0 = stats.second_moment_rate()
     nfev = 0
 
-    def profile(theta: np.ndarray) -> np.ndarray:
-        """Profile ratios ``g``, one row per row of search coordinates."""
-        return cls._increment(deltas, *_shape_fields(cls, theta)) / deltas
-
-    def objective(theta: np.ndarray) -> np.ndarray:
+    def score(g: np.ndarray) -> np.ndarray:
         nonlocal nfev
-        nfev += len(theta)
-        with np.errstate(all="ignore"):  # rejected or extreme shapes score inf
-            return _project(profile(theta), empirical, s0)[2]
+        nfev += len(g)  # a cached grid row is one evaluation, as a computed one is
+        return _project(g, empirical, s0)[2]
 
     # the grid and both polishes stay within the hard bounds
-    theta, converged, diagnostics = _grid_polish(objective, bounds, box)
+    with np.errstate(all="ignore"):  # rejected or extreme shapes score inf
+        theta, converged, diagnostics = _grid_polish(cls, deltas, score, bounds, box)
     shape = cls.from_params({key: f[0, 0] for key, f in zip(cls.coords, _shape_fields(cls, theta[None]))})
-    cs, residuals, values = _project(profile(theta[None]), empirical, s0)
+    cs, residuals, values = _project(_profile(cls, deltas, theta[None]), empirical, s0)
     c, value = float(cs[0]), float(values[0])
     b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []

@@ -425,11 +425,33 @@ class TestDefaultWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert cli._default_workers() == 3
 
-    @pytest.mark.parametrize("env, workers", [("0", 1), ("abc", 2)], ids=["zero-gives-one", "non-integer-ignored"])
-    def test_unusable_environment_value(self, monkeypatch, env, workers):
+    @pytest.mark.parametrize("env", ["0", "-3", "abc", "2.0"], ids=["zero", "negative", "non-integer", "float"])
+    def test_unusable_environment_value(self, monkeypatch, env):
         monkeypatch.setenv("TRAWLPRICE_WORKERS", env)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert cli._default_workers() == workers
+        with pytest.raises(ValueError, match=f"TRAWLPRICE_WORKERS must be an integer >= 1, got '{env}'"):
+            cli._default_workers()
+
+    def test_empty_environment_value_means_unset(self, monkeypatch):
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", "")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._default_workers() == 2
+
+    @pytest.mark.parametrize("env", ["0", "-3", "abc"])
+    def test_unusable_environment_value_is_data_error(self, tmp_path, params_file, capsys, monkeypatch, env):
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", env)
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "1800", "--v0", "0",
+                     "--n-paths", "2", "--seed", "3", "--output", out]) == 2
+        assert f"TRAWLPRICE_WORKERS must be an integer >= 1, got '{env}'" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    def test_flag_overrides_an_unusable_environment_value(self, tmp_path, params_file, monkeypatch):
+        monkeypatch.setenv("TRAWLPRICE_WORKERS", "abc")
+        out = str(tmp_path / "boot.json")
+        assert main(["bootstrap", "--params", params_file, "--span", "1800", "--v0", "0", "--n-paths", "2",
+                     "--seed", "3", "--grid-points", "30", "--workers", "1", "--output", out]) == 0
+        assert json.loads(Path(out + ".manifest.json").read_text())["config"]["workers"] == 1
 
     def test_environment_is_read_when_a_run_starts(self, tmp_path, params_file, monkeypatch):
         # the variable is set after trawlprice.cli was imported

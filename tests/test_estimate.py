@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from trawlprice import (
     LevyMeasure,
     ModelParams,
     PricePath,
+    SupGammaTrawl,
     SupGigTrawl,
     TrawlSpec,
     bootstrap,
@@ -577,6 +579,161 @@ class TestFitSignature:
         assert fit.converged
         assert abs(fit.params.b - BASE_B) < 0.06
         assert abs(fit.params.trawl.family.lam - BASE_LAM) < 0.15
+
+
+def _projection_rows():
+    """Rows of profile ratios for one ``empirical`` curve, by what the projection meets."""
+    g = -np.expm1(-0.7 * DEFAULT_GRID) / (0.7 * DEFAULT_GRID)
+    rng = np.random.default_rng(3)
+    rows = {
+        "ordinary": g,
+        "unit": np.ones_like(g),  # u = 0: no c fits, and c falls back to 1
+        "nan": np.where(np.arange(g.size) == 5, np.nan, g),
+        "inf": np.where(np.arange(g.size) == 5, np.inf, g),
+        "clips-low": 1.0 - 1e-3 * (1.0 - g),  # the curve sits above the data: c < 0
+        "clips-high": 2.0 - g,  # ratios above 1: c > 1
+    }
+    rows.update({f"random-{k}": g * rng.uniform(0.5, 1.5, g.size) ** k for k in (1, 4, 8)})
+    empirical = 0.37 * (g + 0.4 * (1.0 - g)) * (1.0 + 0.01 * np.sin(np.arange(g.size)))
+    return rows, empirical, 0.37
+
+
+class TestProjection:
+    @pytest.mark.parametrize("name", list(_projection_rows()[0]))
+    def test_one_row_is_bit_identical_to_the_stacked_rows(self, name):
+        rows, empirical, s0 = _projection_rows()
+        stack = np.array(list(rows.values()))
+        i = list(rows).index(name)
+        with np.errstate(all="ignore"):
+            stacked = estimate._project(stack, empirical, s0)
+            one = estimate._project(stack[i : i + 1], empirical, s0)
+        for got, want in zip(one, stacked):
+            assert got.shape == want[i : i + 1].shape
+            assert got.tobytes() == want[i : i + 1].tobytes()
+        c, value = one[0][0], one[2][0]
+        expected_c = {"unit": 1.0, "nan": 1.0, "clips-low": estimate._C_BOUNDS[0], "clips-high": estimate._C_BOUNDS[1]}
+        if name in expected_c:
+            assert c == expected_c[name]
+        assert math.isinf(value) == (name in ("nan", "inf"))
+
+
+def _shaped(shape) -> ModelParams:
+    return ModelParams(levy=LevyMeasure(BASE_NU), trawl=TrawlSpec(b=BASE_B, family=shape))
+
+
+class TestGridCache:
+    # 12 window lengths keep the sup-gig fits cheap
+    DELTAS = np.geomspace(0.1, 60.0, 12)
+    # shapes whose best grid point lies inside the box, and on an edge of it:
+    # beyond the box sup-gamma and sup-gig re-grid, while the exponential's
+    # box is its bounds
+    INSIDE = {"exponential": ExponentialTrawl(BASE_LAM), "sup-gamma": SupGammaTrawl(0.5, 2.5),
+              "sup-gig": SupGigTrawl(1.0, 0.05, 1.6)}
+    EDGE = {"exponential": ExponentialTrawl(1e7), "sup-gamma": SupGammaTrawl(500.0, 2.0),
+            "sup-gig": SupGigTrawl(6.0, 0.5, 0.5)}
+    POINTS = {"exponential": estimate._GRID_POINTS, "sup-gamma": estimate._GRID_POINTS_2D ** 2,
+              "sup-gig": estimate._GRID_POINTS_3D ** 3}
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """An empty grid cache for this test; the process's own stays as it is."""
+        fresh = {}
+        monkeypatch.setattr(estimate, "_grid_cache", fresh)
+        return fresh
+
+    @pytest.fixture
+    def grids_computed(self, monkeypatch):
+        """Counts the grid blocks whose profile rows are computed rather than read from the cache."""
+        real, calls = estimate._profile, []
+
+        def counting(cls, deltas, theta):
+            if len(theta) > 1:
+                calls.append(len(theta))
+            return real(cls, deltas, theta)
+
+        monkeypatch.setattr(estimate, "_profile", counting)
+        return calls
+
+    @staticmethod
+    def _same_fit(fit, reference):
+        assert fit.to_dict() == reference.to_dict()  # nfev included
+        assert fit.fitted.tobytes() == reference.fitted.tobytes()
+
+    @pytest.mark.parametrize("where", ["inside", "edge"])
+    @pytest.mark.parametrize("family", ["exponential", "sup-gamma", "sup-gig"])
+    def test_cold_warm_and_uncached_fits_are_identical(self, cache, grids_computed, monkeypatch, family, where):
+        shape = (self.INSIDE if where == "inside" else self.EDGE)[family]
+        stats = _theoretical_stats(_shaped(shape), self.DELTAS)
+        cold = fit_signature(stats, family=family)
+        grids = 2 if where == "edge" and family != "exponential" else 1
+        assert cold.diagnostics["grid_size"] == grids * self.POINTS[family]
+        assert len(cache) == grids
+        if where == "edge" and family == "exponential":
+            assert "lambda" in cold.boundary_flags
+        computed = sum(grids_computed)
+        assert computed == cold.diagnostics["grid_size"]
+        warm = fit_signature(stats, family=family)
+        assert sum(grids_computed) == computed  # every grid row came from the cache
+        self._same_fit(warm, cold)
+        # a grid larger than the bound is computed block by block and not kept
+        monkeypatch.setattr(estimate, "_GRID_CACHE_BYTES", 0)
+        cache.clear()
+        self._same_fit(fit_signature(stats, family=family), cold)
+        assert not cache
+
+    def test_family_and_lengths_key_the_entries(self, cache):
+        stats = _theoretical_stats(_shaped(self.INSIDE["sup-gamma"]), self.DELTAS)
+        nudged = self.DELTAS.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        nudged_stats = replace(stats, deltas=nudged)
+        families = ["exponential", "sup-gamma", "sup-gig"]
+        fits = {(fam, k): fit_signature(st, family=fam) for k, st in enumerate((stats, nudged_stats))
+                for fam in families}
+        # every grid of every fit missed: no family and no set of lengths reused another's rows
+        assert len(cache) == sum(fit.diagnostics["grid_size"] // self.POINTS[fam] for (fam, _), fit in fits.items())
+        cache.clear()
+        for (fam, k), fit in fits.items():
+            self._same_fit(fit_signature((stats, nudged_stats)[k], family=fam), fit)
+
+    def test_grid_points_key_the_entries(self, cache, monkeypatch):
+        stats = _theoretical_stats(_shaped(self.INSIDE["exponential"]), self.DELTAS)
+        fine = fit_signature(stats, family="exponential")
+        monkeypatch.setattr(estimate, "_GRID_POINTS", 41)
+        coarse = fit_signature(stats, family="exponential")
+        # the same family, lengths and box on fewer points is a grid of its own
+        assert coarse.diagnostics["grid_size"] == 41
+        assert len(cache) == 2
+        cache.clear()
+        self._same_fit(fit_signature(stats, family="exponential"), coarse)
+        monkeypatch.setattr(estimate, "_GRID_POINTS", 81)
+        self._same_fit(fit_signature(stats, family="exponential"), fine)
+
+    def test_byte_bound_holds_over_many_grids(self, cache, grids_computed, monkeypatch):
+        entry = estimate._GRID_POINTS * self.DELTAS.size * 8  # one exponential grid's rows
+        monkeypatch.setattr(estimate, "_GRID_CACHE_BYTES", 3 * entry)
+        base = _theoretical_stats(_shaped(self.INSIDE["exponential"]), self.DELTAS)
+        grids = [replace(base, deltas=self.DELTAS * (1.0 + k / 64)) for k in range(12)]
+        for k, stats in enumerate(grids):
+            fit_signature(stats, family="exponential")
+            assert sum(rows.nbytes for rows in cache.values()) <= 3 * entry
+            assert len(cache) == min(k + 1, 3)
+        # the least recently used entry goes first: a refit of grid 10 keeps
+        # it over grid 9 when grid 12 arrives
+        fit_signature(grids[10], family="exponential")
+        fit_signature(base, family="exponential")
+        computed = len(grids_computed)
+        fit_signature(grids[10], family="exponential")
+        assert len(grids_computed) == computed
+        fit_signature(grids[9], family="exponential")
+        assert len(grids_computed) > computed
+
+    @pytest.mark.parametrize("family", ["exponential", "sup-gamma", "sup-gig"])
+    def test_cached_rows_are_read_only(self, cache, family):
+        fit_signature(_theoretical_stats(_shaped(self.INSIDE[family]), self.DELTAS), family=family)
+        (rows,) = cache.values()
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
