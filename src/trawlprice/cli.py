@@ -149,7 +149,7 @@ def _cmd_simulate(cfg: dict) -> _Run:
     path = simulate_path(params, float(cfg["t_start"]), float(cfg["t_end"]), int(cfg["v0"]), int(cfg["seed"]))
     outputs = _write_path(path, cfg["output"])
     summary = f"{path.n_events} events on ({path.t_start}, {path.t_end}] -> {cfg['output']}"
-    return _Run([cfg["params"]], outputs, summary)
+    return _Run([cfg["params"]], outputs, summary, counts={"events": path.n_events})
 
 
 def _cmd_clean(cfg: dict) -> _Run:
@@ -176,7 +176,7 @@ def _cmd_clean(cfg: dict) -> _Run:
         f"{len(records)} records -> {result.path.n_events + 1} prices, "
         f"{len(result.diagnostics)} diagnostic line(s) -> {cfg['output']}"
     )
-    return _Run([cfg["input"]], outputs, summary)
+    return _Run([cfg["input"]], outputs, summary, counts={"records": len(records), "events": result.path.n_events})
 
 
 def _cmd_fit(cfg: dict) -> _Run:
@@ -260,7 +260,7 @@ def _cmd_bootstrap(cfg: dict) -> _Run:
     _atomic_json(cfg["output"], payload)
     summary = f"{result.n_paths} paths, {result.n_nonconverged} nonconverged -> {cfg['output']}"
     unconverged = f"{result.n_nonconverged} replica(s) did not converge" if result.n_nonconverged else None
-    return _Run([cfg["params"]], [cfg["output"]], summary, unconverged)
+    return _Run([cfg["params"]], [cfg["output"]], summary, unconverged, {"replicas": result.n_paths, **result.work})
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,16 @@ def variance_grid(path: PricePath, deltas) -> tuple[np.ndarray, np.ndarray, np.n
     anchored at ``t_start``, with the boundary rule of
     :func:`~trawlprice.simulate.window_index`, and the sample variance
     (denominator ``n-1``) of the integer returns is computed.  The running
-    price move is summed once per path; each window holding events then
-    takes its return as a difference of that sum at window ends, so time
-    and memory per length scale with the number of events, not with
-    ``span/delta``.  A window length admitting fewer than two full windows
-    is dropped with a warning; a ``ValueError`` is raised when no length
-    remains.
+    price move is summed once per path, and one scratch buffer of event
+    length holds each length's window indices in turn.  A window's return
+    is the running move at its last event less that at the previous
+    window's last event, so the returns telescope: with ``x`` the running
+    move at the window-final events, their total is ``x[-1]`` and their sum
+    of squares is ``x[0]**2 + dx.dx`` with ``dx = x[1:] - x[:-1]``, and no
+    array of returns is built.  Time and memory per length scale with the
+    number of events, not with ``span/delta``.  A window length admitting
+    fewer than two full windows is dropped with a warning; a
+    ``ValueError`` is raised when no length remains.
 
     Returns
     -------
@@ -129,21 +133,23 @@ def variance_grid(path: PricePath, deltas) -> tuple[np.ndarray, np.ndarray, np.n
     if np.any(np.diff(d_arr) <= 0.0):
         raise ValueError("window lengths must be strictly increasing")
     rel, csum = _running_move(path)
+    k, span = np.empty_like(rel), path.span
     # every window sum is a difference of two values in {0} u csum, so at
     # most `reach` in size; below the bound no int64 sum of squares wraps
     reach = int(np.max(csum, initial=0)) - int(np.min(csum, initial=0))
     int64_squares = reach * reach * path.n_events < 2**63
     out_d, out_v, out_n = [], [], []
-    for delta in d_arr:
-        n, _, sums = _window_sums(rel, csum, path.span, delta)
+    for delta in d_arr.tolist():
+        n, _, x = _window_sums(rel, csum, k, span, delta)
         if n < 2:
-            warnings.warn(f"dropping window length {float(delta)}: fewer than 2 full windows", stacklevel=2)
+            warnings.warn(f"dropping window length {delta}: fewer than 2 full windows", stacklevel=2)
             continue
         # integer sums keep n*sum(r^2) - (sum r)^2 exact; one rounding at the end
-        if int64_squares:
-            total, squares = int(sums.sum()), int(np.dot(sums, sums))
-        else:  # Python ints cannot wrap
-            returns = sums.tolist()
+        if int64_squares and x.size:
+            dx = x[1:] - x[:-1]
+            total, squares = int(x[-1]), int(x[0]) ** 2 + int(dx.dot(dx))
+        else:  # Python ints cannot wrap; no window-final event gives no returns
+            returns = np.diff(x, prepend=0).tolist()
             total, squares = sum(returns), sum(r * r for r in returns)
         out_d.append(delta)
         out_v.append((n * squares - total * total) / (n * (n - 1)))
@@ -524,7 +530,10 @@ def _flatten_estimates(result: FitResult) -> dict[str, float]:
     return out
 
 
-def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
+def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None, dict[str, int]]:
+    """One replica: its index, whether it converged, its estimates, the
+    reason it failed, and the work of a fit that returned (events,
+    windows summed and objective evaluations; empty otherwise)."""
     (params, span, v0, family, seed, index, deltas) = args
     rng = np.random.default_rng([seed, index])
     try:
@@ -532,12 +541,13 @@ def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None]:
         stats = collect_stats(path, deltas)
         fit = fit_signature(stats, family=family)
     except ValueError as exc:
-        return index, False, {}, str(exc)
+        return index, False, {}, str(exc), {}
     except Exception as exc:  # a failed replica must not abort the others
-        return index, False, {}, f"{type(exc).__name__}: {exc}"
+        return index, False, {}, f"{type(exc).__name__}: {exc}", {}
+    work = {"events": path.n_events, "windows": int(stats.counts.sum()), "nfev": int(fit.diagnostics["nfev"])}
     if not fit.converged:
-        return index, False, {}, f"fit did not converge: {fit.diagnostics['message']}"
-    return index, True, _flatten_estimates(fit), None
+        return index, False, {}, f"fit did not converge: {fit.diagnostics['message']}", work
+    return index, True, _flatten_estimates(fit), None, work
 
 
 @dataclass(frozen=True)
@@ -547,7 +557,9 @@ class BootstrapResult:
     ``estimates[i]`` is the parameter vector fitted on replica ``i``
     (NaN where the fit failed); ``se``/``means`` summarise the converged
     replicas with denominator ``n-1``; ``failures`` pairs each failed
-    replica's index with its reason.
+    replica's index with its reason.  ``work`` holds the ``events``,
+    ``windows`` and objective evaluations (``nfev``) summed over the
+    replicas whose fit returned, converged or not.
     """
 
     names: tuple[str, ...]
@@ -558,6 +570,7 @@ class BootstrapResult:
     n_nonconverged: int
     seed: int
     failures: tuple[tuple[int, str], ...]
+    work: dict[str, int]
 
     @property
     def n_paths(self) -> int:
@@ -605,14 +618,14 @@ def bootstrap(
     else:
         raw = [_bootstrap_one(job) for job in jobs]
 
-    names = sorted({k for _, ok, est, _ in raw if ok for k in est}, key=lambda n: (n != "b", n))
+    names = sorted({k for _, ok, est, _, _ in raw if ok for k in est}, key=lambda n: (n != "b", n))
     table = np.full((len(raw), len(names)), np.nan)
     converged = np.zeros(len(raw), dtype=bool)
-    for i, (_, ok, est, _) in enumerate(raw):
+    for i, (_, ok, est, _, _) in enumerate(raw):
         converged[i] = ok
         if ok:
             table[i] = [est.get(name, 0.0) for name in names]
-    failures = tuple((i, reason) for i, _, _, reason in raw if reason is not None)
+    failures = tuple((i, reason) for i, _, _, reason, _ in raw if reason is not None)
     good = table[converged]
     if good.shape[0] < 2:
         counts = Counter(reason for _, reason in failures)
@@ -620,6 +633,9 @@ def bootstrap(
         raise RuntimeError(
             f"only {good.shape[0]} of {n_paths} replicas converged; cannot summarise (failures: {why})"
         )
+    work = Counter()
+    for *_, done in raw:
+        work.update(done)
     se = {name: float(np.std(good[:, j], ddof=1)) for j, name in enumerate(names)}
     means = {name: float(np.mean(good[:, j])) for j, name in enumerate(names)}
     return BootstrapResult(
@@ -631,6 +647,7 @@ def bootstrap(
         n_nonconverged=int(len(raw) - converged.sum()),
         seed=int(seed),
         failures=failures,
+        work=dict(work),
     )
 
 

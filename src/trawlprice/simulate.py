@@ -250,14 +250,15 @@ def window_index(times, t_start: float, delta: float) -> np.ndarray:
     taken relative to ``t_start``, which the signature forms once per path.
     Cost and memory are O(events); sorted times give sorted indices.
     """
-    return _window_ceil(np.asarray(times, dtype=float) - t_start, delta).astype(np.int64)
+    rel = np.asarray(times, dtype=float) - t_start
+    return _window_ceil(rel, delta, np.empty(np.shape(rel))).astype(np.int64)
 
 
-def _window_ceil(rel: np.ndarray, delta: float) -> np.ndarray:
+def _window_ceil(rel: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
     """:func:`window_index` of the relative times ``rel = t - t_start``, as
-    integer-valued floats; one event-length array is allocated."""
-    k = np.divide(rel, delta, out=np.empty(np.shape(rel)))
-    return np.ceil(k, out=k)
+    integer-valued floats written into ``out``."""
+    np.divide(rel, delta, out=out)
+    return np.ceil(out, out=out)
 
 
 def _running_move(path: PricePath) -> tuple[np.ndarray, np.ndarray]:
@@ -267,25 +268,28 @@ def _running_move(path: PricePath) -> tuple[np.ndarray, np.ndarray]:
     return np.append(path.times - path.t_start, np.inf), np.cumsum(path.jumps)
 
 
-def _window_sums(rel: np.ndarray, csum: np.ndarray, span: float, delta: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """The full windows of :func:`window_index` at one length: their count
-    ``n``, the indices of those holding events (as integer-valued floats)
-    and their integer sums.
+def _window_sums(
+    rel: np.ndarray, csum: np.ndarray, k: np.ndarray, span: float, delta: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The full windows of :func:`window_index` at one length, as telescoped
+    sums: their count ``n``, the indices ``last`` of the window-final events
+    and the running move ``x = csum[last]`` there.
 
-    ``rel`` and ``csum`` come from :func:`_running_move`.  A window's last
-    event is one whose successor lies in a later window; the ``+inf``
+    ``rel`` and ``csum`` come from :func:`_running_move`; ``k`` is a scratch
+    buffer of ``rel``'s size, allocated once per path, that is left holding
+    the window indices ``k[last]`` of the windows with events.  A window's
+    last event is one whose successor lies in a later window; the ``+inf``
     ending ``rel`` is that successor for the last event in a full window,
-    so a path with no event in a full window needs no special case.  A
-    window's sum is the running move at its last event less that at the
-    previous window's last event: exact, because int64 differences are
-    exact modulo 2**64 and so give every sum that fits.  Cost and memory
-    are O(events).
+    so a path with no event in a full window needs no special case.  The
+    sums of the windows with events are ``np.diff(x, prepend=0)``, so they
+    total ``x[-1]``: exact, because int64 differences are exact modulo 2**64
+    and so give every sum that fits.  Cost and memory are O(events).
     """
-    n = int(math.floor(span / delta))
-    k = _window_ceil(rel, delta)
-    m = int(np.searchsorted(k, n, side="right"))  # events in full windows
-    last = np.flatnonzero(k[1 : m + 1] != k[:m])
-    return n, k[last], np.diff(csum[last], prepend=0)
+    n = math.floor(span / delta)
+    _window_ceil(rel, delta, k)
+    m = int(k.searchsorted(n, side="right"))  # events in full windows
+    last = (k[1 : m + 1] != k[:m]).nonzero()[0]
+    return n, last, csum[last]
 
 
 def returns_at(path: PricePath, delta: float) -> np.ndarray:
@@ -297,11 +301,13 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    n, windows, sums = _window_sums(*_running_move(path), path.span, delta)
+    rel, csum = _running_move(path)
+    k = np.empty_like(rel)
+    n, last, x = _window_sums(rel, csum, k, path.span, delta)
     if n < 1:
         raise ValueError("delta exceeds the path span")
     out = np.zeros(n, dtype=np.int64)
-    out[windows.astype(np.int64) - 1] = sums
+    out[k[last].astype(np.int64) - 1] = np.diff(x, prepend=0)
     return out
 
 

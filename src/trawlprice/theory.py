@@ -106,10 +106,10 @@ class PmfResult:
         clamped to zero.
     aliasing_bound : float
         Bound on the mass of the return outside the support, which the
-        discrete inversion wraps onto it: the larger of the Chernoff tail
-        bound at ``m + 1`` and ``|1 - sum(probabilities)|``.  It is at most
-        1e-10 on the automatic grid and can reach 1 on a grid too small
-        for the law.
+        discrete inversion wraps onto it: the larger of the sum of the
+        Chernoff bounds on the two tails at ``+-(m + 1)`` and
+        ``|1 - sum(probabilities)|``.  It is at most 1e-10 on the automatic
+        grid and can reach 1 on a grid too small for the law.
     """
 
     support: np.ndarray
@@ -135,26 +135,43 @@ class PmfResult:
         return 0.0
 
 
-def _chernoff(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points ``u`` and log-MGFs ``psi`` of a Chernoff bound on the return's
-    tails: ``P(|P_t - P_0| >= k) <= exp(min_u(psi_u - u k))``.
+def _chernoff(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points ``u`` and, for the upper tail (row 0) and the lower tail (row
+    1) of the return ``R = P_t - P_0``, the log-MGF ``psi`` of ``+-R`` at
+    ``u`` and ``log(psi'^2 + psi'')``.
 
-    The absolute return is stochastically dominated by the total tick
-    distance ``W`` moved by a compound Poisson process with mean measure
-    ``(b t + 2 increment(t)) nu``, whose log-MGF at ``u`` is ``psi_u``.
+    ``psi[0]`` is ``b t sum_y nu(y) (e^{uy} - 1) + increment(t) sum_y nu(y)
+    (e^{uy} + e^{-uy} - 2)``, the permanent piece plus the two fleeting
+    pieces of opposite sign, and ``psi[1]`` is the same at ``-u``.  So
+    ``P(+-R >= k) <= exp(min_u(psi - u k))``, and as ``E[R^2 e^{+-uR}]`` is
+    ``e^psi (psi'^2 + psi'')``, ``E[R^2; +-R >= k]`` is at most
+    ``exp(min_u(psi + log(psi'^2 + psi'') - u k))``.
     """
     levy = params.levy
-    rate = params.b * t + 2.0 * params.trawl.increment(t)
-    abs_sizes = np.abs(levy.sizes.astype(float))
-    u = np.geomspace(1e-3, min(200.0 / float(abs_sizes.max()), 50.0), 400)
-    return u, rate * np.sum(levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
+    # axes: jump size, tail (y, then -y), point u; the sums run over sizes
+    y = np.stack([levy.sizes, -levy.sizes], axis=1).astype(float)[:, :, None]
+    u = np.geomspace(1e-3, min(200.0 / float(np.abs(y).max()), 50.0), 400)
+    rates = levy.rates[:, None, None]
+    bt, inc = params.b * t, params.trawl.increment(t)
+    e_plus = np.exp(y * u)
+    e_minus = e_plus[:, ::-1]  # e^{-uy}: the two tails swapped
+    psi = np.sum(rates * (bt * (e_plus - 1.0) + inc * (e_plus + e_minus - 2.0)), axis=0)
+    d1 = np.sum(rates * y * (bt * e_plus + inc * (e_plus - e_minus)), axis=0)
+    d2 = np.sum(rates * y * y * (bt * e_plus + inc * (e_plus + e_minus)), axis=0)
+    return u, psi, np.log(d1 * d1 + d2)
 
 
-def _auto_points(params: ModelParams, u: np.ndarray, psi: np.ndarray) -> int:
-    """Smallest even grid size whose Chernoff tail bound is below 1e-10."""
-    # the log tail bound min_u(psi_u - u m) falls as m grows, and is below
-    # log(1e-10) exactly from the least cutoff (psi_u - log(1e-10)) / u on
-    cutoff = float(np.min((psi - math.log(1e-10)) / u))
+def _auto_points(params: ModelParams, u: np.ndarray, psi: np.ndarray, log_m2: np.ndarray) -> int:
+    """Smallest even grid size whose Chernoff bound on each tail's share of
+    the second moment, ``E[R^2; +-R >= m + 1]``, is below 5e-11.
+
+    Where ``|R| >= 1``, ``R^2 >= 1``, so the mass outside the support is
+    below 1e-10 too, and the pmf's moments keep that mass's weight.
+    """
+    # each log bound min_u(psi_u + log_m2_u - u k) falls as k grows, and is
+    # below log(5e-11) exactly from the least cutoff (psi_u + log_m2_u -
+    # log(5e-11)) / u on
+    cutoff = float(np.max(np.min((psi + log_m2 - math.log(5e-11)) / u, axis=1)))
     if not cutoff <= 2**26:  # pragma: no cover - absurd intensity guard
         raise ValueError("return distribution too spread out for FFT inversion")
     return 2 * max(math.ceil(cutoff), int(np.abs(params.levy.sizes).max()) + 1)
@@ -169,9 +186,9 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
     the wrapping error, bounded by ``aliasing_bound``, negligible.
     """
     t = _check_horizon(t)
-    u, psi = _chernoff(params, t)
+    u, psi, log_m2 = _chernoff(params, t)
     if n_points is None:
-        n = _auto_points(params, u, psi)
+        n = _auto_points(params, u, psi, log_m2)
     else:
         n = int(n_points)
         if n != n_points or n < 4 or n % 2 != 0:
@@ -190,7 +207,8 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
             f"CF inversion produced mass {probs.min():.3e} < -1e-12; grid too small"
         )
     probs = np.clip(probs, 0.0, None)
-    tail = math.exp(min(0.0, float(np.min(psi - u * (m + 1)))))
+    # P(|P_t - P_0| >= m + 1): the two tails' Chernoff bounds summed, capped at 1
+    tail = min(1.0, float(np.sum(np.exp(np.minimum(0.0, np.min(psi - u * (m + 1), axis=1))))))
     bound = max(abs(1.0 - raw_sum), abs(1.0 - float(probs.sum())), tail)
     return PmfResult(support=support, probabilities=probs, aliasing_bound=bound)
 

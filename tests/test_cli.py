@@ -28,8 +28,10 @@ from trawlprice import (
     ModelParams,
     SupGammaTrawl,
     TrawlSpec,
+    bootstrap,
     main,
     read_path_csv,
+    read_raw_csv,
 )
 
 from conftest import BASE_B, BASE_LAM, BASE_NU
@@ -380,7 +382,7 @@ class TestBootstrap:
 
 class TestRunner:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_every_command_writes_manifest_and_summary(self, tmp_path, params_file, capsys, command):
+    def test_every_command_writes_manifest_and_summary(self, tmp_path, params_file, base_params, capsys, command):
         path_csv = _simulate(tmp_path, params_file, t_end=5000.0)
         raw, out, diag = str(DATA / "raw_ticks.csv"), str(tmp_path / f"{command}.out"), str(tmp_path / "diag.txt")
         runs = {
@@ -403,10 +405,25 @@ class TestRunner:
         assert all(Path(file).exists() for file in outputs)
         assert capsys.readouterr().out.splitlines()[-1].startswith(f"{command}: ")
         signature_counts = {"events", "window_lengths", "windows"}
-        keys = {"fit": signature_counts | {"nfev"}, "signature": signature_counts}.get(command, set())
+        keys = {
+            "simulate": {"events"},
+            "clean": {"records", "events"},
+            "fit": signature_counts | {"nfev"},
+            "signature": signature_counts,
+            "bootstrap": {"replicas", "events", "windows", "nfev"},
+        }.get(command, set())
         assert set(manifest["counts"]) == keys
         assert all(isinstance(v, int) and v > 0 for v in manifest["counts"].values())
-        if keys:
+        if command in ("simulate", "clean"):
+            assert manifest["counts"]["events"] == read_path_csv(out, out + ".meta.json").n_events
+        if command == "clean":
+            assert manifest["counts"]["records"] == len(read_raw_csv(raw))
+        if command == "bootstrap":
+            grid = np.geomspace(0.1, 60.0, 30)
+            result = bootstrap(base_params, 1800.0, 0, 2, seed=3, deltas=grid)
+            assert manifest["counts"] == {"replicas": 2, **result.work}
+            assert manifest["counts"]["windows"] == 2 * sum(math.floor(1800.0 / d) for d in grid)
+        if command in ("fit", "signature"):
             path = read_path_csv(path_csv, path_csv + ".meta.json")
             grid = np.geomspace(0.1, 60.0, 60)
             assert manifest["counts"]["events"] == path.n_events

@@ -99,6 +99,37 @@ _SPARSE_CASES = [
 ]
 
 
+def _edge_path(t_end: float, times, jumps) -> PricePath:
+    return PricePath(v0=0, t_start=0.0, t_end=t_end, times=np.array(times, dtype=float), jumps=np.array(jumps))
+
+
+def _one_event_per_window(delta: float, n: int) -> PricePath:
+    """``n`` full windows of length ``delta``, each holding one event at its
+    middle, with moves of both signs and several sizes."""
+    jumps = [(-1) ** j * (j % 4 + 1) for j in range(n)]
+    return _edge_path(n * delta + delta / 3, (np.arange(n) + 0.5) * delta, jumps)
+
+
+# (path, window lengths) cases for the edges of the per-length signature
+# step, where the telescoped sums have no window-final event, x[0] alone or
+# an empty dx
+_KERNEL_EDGE_CASES = [
+    # no window-final event: every event lies beyond the last full window,
+    # once with moves whose squares would pass int64
+    (_edge_path(10.0, [9.1, 9.5, 9.9], [1, -2, 3]), [3.0, 4.5]),
+    (_edge_path(10.0, [9.5, 9.9], [2**62, 2**62]), [3.0, 4.5]),
+    # exactly 2 full windows, with a ragged tail and without one
+    (_edge_path(10.0, [1.0, 4.0, 4.9, 6.0, 9.8, 9.95], [2, -1, 3, -4, 1, 5]), [4.9, 5.0]),
+    # one event per window at every length
+    (_one_event_per_window(0.25, 40), [0.25]),
+    (_one_event_per_window(1.0, 7), [1.0]),
+    (_one_event_per_window(3.7, 2), [3.7]),
+    # a single full window holds every event, first or a later one
+    (_edge_path(10.0, [0.5, 1.0, 2.5, 3.9], [3, -1, 2, 2]), [4.0, 5.0]),
+    (_edge_path(10.0, [3.5, 4.0, 5.5], [-2, -2, 7]), [3.0, 4.5]),
+]
+
+
 def _manual_path() -> PricePath:
     return PricePath(
         v0=0,
@@ -221,10 +252,12 @@ class TestVarianceGrid:
             trawl=TrawlSpec(b=BASE_B, family=ExponentialTrawl(lam=BASE_LAM)),
         )
         millisecond = (_millisecond_path(params, 20000.0, 1), [0.01, 0.3, 0.7, 1.0])
-        for path, deltas in [*_SPARSE_CASES, millisecond]:
+        for path, deltas in [*_SPARSE_CASES, millisecond, *_KERNEL_EDGE_CASES]:
             d, v, n = variance_grid(path, deltas)
+            assert_array_equal(d, deltas)
             for i, delta in enumerate(d):
                 returns = returns_at(path, float(delta))
+                assert returns.dtype == np.int64
                 assert_array_equal(returns, _dense_returns(path, float(delta)))
                 r = returns.tolist()
                 count, total, squares = len(r), sum(r), sum(x * x for x in r)
@@ -759,6 +792,33 @@ class TestBootstrap:
         assert serial.names == pooled.names
         assert_array_equal(serial.estimates, pooled.estimates)
         assert serial.se == pooled.se
+        assert serial.work == pooled.work
+
+    def test_work_sums_the_replicas_whose_fit_returned(self, base_params, monkeypatch):
+        # replica 1 raises and adds nothing; replica 2's fit returns
+        # unconverged and still adds its work
+        real = estimate.fit_signature
+        calls, returned = [], []
+
+        def patched(stats, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("boom")
+            fit = real(stats, **kwargs)
+            if len(calls) == 3:
+                fit = replace(fit, converged=False)
+            returned.append((stats, fit))
+            return fit
+
+        monkeypatch.setattr(estimate, "fit_signature", patched)
+        res = bootstrap(base_params, span=1800.0, v0=0, n_paths=4, seed=8, n_workers=1)
+        assert list(res.converged) == [True, False, False, True] and len(returned) == 3
+        assert res.work == {
+            "events": sum(stats.n_events for stats, _ in returned),
+            "windows": sum(int(stats.counts.sum()) for stats, _ in returned),
+            "nfev": sum(fit.diagnostics["nfev"] for _, fit in returned),
+        }
+        assert all(type(v) is int and v > 0 for v in res.work.values())
 
     def test_integral_float_replica_count_runs_in_a_pool(self, base_params):
         # 16 replicas over 2 workers give the pool a chunk size of 2

@@ -219,9 +219,24 @@ class TestReturnPmf:
         with pytest.raises(ValueError, match="single-jump support"):
             return_pmf(params, 1.0, n_points=8)
 
+    def test_two_sided_bound_is_tight_on_a_spread_law(self):
+        # a bound on each tail of the return, not on the total tick distance
+        # moved: the automatic grid stays small and an explicit grid's bound
+        # stays informative while still covering the mass outside
+        params = ModelParams(
+            levy=LevyMeasure({1: 0.5, -1: 0.5, 2: 0.1, -2: 0.1}),
+            trawl=TrawlSpec(b=0.4, family=ExponentialTrawl(lam=0.5)),
+        )
+        full = return_pmf(params, 60.0)
+        assert full.support.size + 1 < 130
+        assert full.aliasing_bound <= 1e-10
+        outside = full.probabilities[np.abs(full.support) > 23].sum()
+        assert outside <= return_pmf(params, 60.0, n_points=48).aliasing_bound < 0.05
+
     def test_auto_grid_size_is_the_least_chernoff_cutoff(self):
-        # the automatic size is the least cutoff whose Chernoff tail bound is
-        # below 1e-10; the reference finds it by doubling and bisection
+        # the automatic size is the least cutoff whose Chernoff bound on each
+        # tail's share of the second moment is below 5e-11; the reference
+        # finds it by doubling and bisection
         rng = np.random.default_rng(20141)
         for _ in range(50):
             params, t = _random_model(rng)
@@ -248,15 +263,22 @@ def _random_model(rng):
 
 def _searched_grid_size(params, t):
     """The automatic pmf grid size found by searching: double the cutoff
-    from one past the largest jump until the tail bound is met, then
-    bisect down to the least cutoff that meets it."""
+    from one past the largest jump until both tails' second-moment bounds
+    are met, then bisect down to the least cutoff that meets them."""
     abs_sizes = np.abs(params.levy.sizes.astype(float))
-    rate = params.b * t + 2.0 * params.trawl.increment(t)
     u = np.geomspace(1e-3, min(200.0 / float(abs_sizes.max()), 50.0), 400)
-    psi = rate * np.sum(params.levy.rates * np.expm1(np.outer(u, abs_sizes)), axis=1)
+    inc, bt, rates = params.trawl.increment(t), params.b * t, params.levy.rates
+    logs = []
+    for y in (params.levy.sizes.astype(float), -params.levy.sizes.astype(float)):
+        # the log-MGF of +-R and its two derivatives, term by term
+        e_plus, e_minus = np.exp(np.outer(u, y)), np.exp(-np.outer(u, y))
+        psi = np.sum(rates * (bt * (e_plus - 1.0) + inc * (e_plus + e_minus - 2.0)), axis=1)
+        d1 = np.sum(rates * y * (bt * e_plus + inc * (e_plus - e_minus)), axis=1)
+        d2 = np.sum(rates * y * y * (bt * e_plus + inc * (e_plus + e_minus)), axis=1)
+        logs.append(psi + np.log(d1 * d1 + d2))
 
     def met(m):
-        return float(np.min(psi - u * m)) <= math.log(1e-10)
+        return max(float(np.min(log - u * m)) for log in logs) <= math.log(5e-11)
 
     m = int(abs_sizes.max()) + 1
     while not met(m):
