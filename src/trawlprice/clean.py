@@ -20,6 +20,7 @@ structural, not data-quality events).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -232,20 +233,72 @@ def read_raw_csv(file) -> RawColumns:
     whitespace only or a quoted empty string is a missing value; a
     recorded ``nan`` is a value.  Extra columns are ignored, and when a
     column name repeats, its last occurrence is read.  Rows must carry a
-    time stamp.
+    time stamp.  A feed whose body holds only plain numbers, commas and
+    line ends is parsed in one pass; the meaning of a cell does not
+    depend on the path taken.
 
     Raises ``ValueError`` naming the line for a row that ends before one
     of the seven columns, and naming the line, column and cell for a
     cell that is not a number.  A number is read as ASCII text, so a
     non-ASCII space inside a cell (e.g. U+00A0) makes it not a number.
     """
+    values = _read_plain(file)
+    cols = _read_cells(file) if values is None else RawColumns(values, ~np.isnan(values))
+    if not cols.present[:, 0].all():
+        raise ValueError("raw CSV row without a time stamp")
+    return cols
+
+
+def _usecols(fh) -> list[int]:
+    """Read the header line of the open feed ``fh``; the positions of the seven columns in field order."""
+    header = next(csv.reader(fh), None)
+    missing = [c for c in _FIELDS if header is None or c not in header]
+    if missing:
+        raise ValueError(f"raw CSV is missing column(s) {missing}")
+    position = {name: j for j, name in enumerate(header)}  # the last of a repeated name, as csv.DictReader
+    return [position[c] for c in _FIELDS]
+
+
+_PLAIN = b"0123456789.,+-eE\n"  # and "\r", but only as part of "\r\n"
+
+
+def _read_plain(file) -> np.ndarray | None:
+    """The values of a feed whose body is plain, in one float parse; None for any other body.
+
+    A plain body holds only the bytes of :data:`_PLAIN`.  It has no
+    quote, no space and no recorded ``nan``, so its missing cells are
+    exactly its empty ones: each gets ``nan``, and a cell is present
+    where its value is not nan.  A body that does not parse is left to
+    :func:`_read_cells`, which names the bad row.
+    """
     with open(file, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        missing = [c for c in _FIELDS if header is None or c not in header]
-        if missing:
-            raise ValueError(f"raw CSV is missing column(s) {missing}")
-        position = {name: j for j, name in enumerate(header)}  # the last of a repeated name, as csv.DictReader
-        usecols = [position[c] for c in _FIELDS]
+        usecols = _usecols(fh)
+        try:
+            body = fh.read().encode("ascii")
+        except UnicodeError:  # text the locale cannot decode, or any non-ASCII text
+            return None
+    if body.translate(None, _PLAIN) != b"\r" * body.count(b"\r\n"):
+        return None
+    # an empty cell lies between two commas, or between a comma and the
+    # start or end of the body or of a line.  In a run of empty cells one
+    # ",," pass fills every other cell, so a second pass fills the rest.
+    # Rebinding ``body`` frees each copy: only the filled text is held
+    # during the parse.
+    body = b"nan" * body.startswith(b",") + body + b"nan" * body.endswith(b",")
+    for empty in (b",,", b",,", b"\n,", b",\r", b",\n"):
+        body = body.replace(empty, empty[:1] + b"nan" + empty[1:])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on blank lines and on no rows
+            return np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, usecols=usecols)
+    except ValueError:
+        return None
+
+
+def _read_cells(file) -> RawColumns:
+    """The columns of any feed, cell by cell: each cell is read as text, stripped, and converted when present."""
+    with open(file, newline="") as fh:
+        usecols = _usecols(fh)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on blank lines and on no rows
@@ -260,8 +313,6 @@ def read_raw_csv(file) -> RawColumns:
             if located is None:
                 raise
             raise located from exc
-    if not present[:, 0].all():
-        raise ValueError("raw CSV row without a time stamp")
     return RawColumns(values, present)
 
 

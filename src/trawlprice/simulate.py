@@ -334,7 +334,7 @@ def write_path_csv(path: PricePath, csv_file, sidecar_file) -> None:
     """
     with open(csv_file, "w", newline="") as fh:
         fh.write("time,price_ticks\n")
-        fh.writelines(map("{!r},{}\n".format, path.times.tolist(), path.prices.tolist()))
+        fh.write("".join([f"{t!r},{p}\n" for t, p in zip(path.times.tolist(), path.prices.tolist())]))
     meta = {"v0": path.v0, "t_start": path.t_start, "t_end": path.t_end, "seed": path.seed}
     with open(sidecar_file, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

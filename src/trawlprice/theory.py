@@ -10,6 +10,7 @@ decomposition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,14 +76,17 @@ def return_log_cf(params: ModelParams, t: float, theta):
     ``theta`` and returns complex values of matching shape.
     """
     t = _check_horizon(t)
-    th = np.asarray(theta, dtype=float)
-    c_plus = _base_log_cf(params.levy, th)
-    inc = params.trawl.increment(t)
-    # C(theta) + C(-theta) is twice the (negative) real part
-    val = params.b * t * c_plus + inc * 2.0 * c_plus.real
+    val = _log_cf(params, t, params.trawl.increment(t), theta)
     if np.ndim(theta) == 0:
         return complex(val)
     return val
+
+
+def _log_cf(params: ModelParams, t: float, inc: float, theta) -> np.ndarray:
+    """:func:`return_log_cf` as an array, given ``inc = increment(t)``."""
+    c_plus = _base_log_cf(params.levy, theta)
+    # C(theta) + C(-theta) is twice the (negative) real part
+    return params.b * t * c_plus + inc * 2.0 * c_plus.real
 
 
 def return_cf(params: ModelParams, t: float, theta):
@@ -135,10 +139,21 @@ class PmfResult:
         return 0.0
 
 
-def _chernoff(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _chernoff_points(hi: float) -> np.ndarray:
+    """The points ``u`` of :func:`_chernoff`: 400 geometric on ``[1e-3, hi]``.
+
+    Read-only, as every call with the same ``hi`` shares the array.
+    """
+    u = np.geomspace(1e-3, hi, 400)
+    u.flags.writeable = False
+    return u
+
+
+def _chernoff(params: ModelParams, t: float, inc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points ``u`` and, for the upper tail (row 0) and the lower tail (row
     1) of the return ``R = P_t - P_0``, the log-MGF ``psi`` of ``+-R`` at
-    ``u`` and ``log(psi'^2 + psi'')``.
+    ``u`` and ``log(psi'^2 + psi'')``, given ``inc = increment(t)``.
 
     ``psi[0]`` is ``b t sum_y nu(y) (e^{uy} - 1) + increment(t) sum_y nu(y)
     (e^{uy} + e^{-uy} - 2)``, the permanent piece plus the two fleeting
@@ -150,9 +165,9 @@ def _chernoff(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray, np
     levy = params.levy
     # axes: jump size, tail (y, then -y), point u; the sums run over sizes
     y = np.stack([levy.sizes, -levy.sizes], axis=1).astype(float)[:, :, None]
-    u = np.geomspace(1e-3, min(200.0 / float(np.abs(y).max()), 50.0), 400)
+    u = _chernoff_points(min(200.0 / float(np.abs(y).max()), 50.0))
     rates = levy.rates[:, None, None]
-    bt, inc = params.b * t, params.trawl.increment(t)
+    bt = params.b * t
     e_plus = np.exp(y * u)
     e_minus = e_plus[:, ::-1]  # e^{-uy}: the two tails swapped
     psi = np.sum(rates * (bt * (e_plus - 1.0) + inc * (e_plus + e_minus - 2.0)), axis=0)
@@ -186,7 +201,8 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
     the wrapping error, bounded by ``aliasing_bound``, negligible.
     """
     t = _check_horizon(t)
-    u, psi, log_m2 = _chernoff(params, t)
+    inc = params.trawl.increment(t)
+    u, psi, log_m2 = _chernoff(params, t, inc)
     if n_points is None:
         n = _auto_points(params, u, psi, log_m2)
     else:
@@ -196,7 +212,7 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
         if n // 2 <= int(np.abs(params.levy.sizes).max()):
             raise ValueError("n_points too small to cover single-jump support")
     theta = 2.0 * np.pi * np.arange(n) / n
-    phi = np.exp(return_log_cf(params, t, theta))
+    phi = np.exp(_log_cf(params, t, inc, theta))
     wrapped = np.fft.fft(phi).real / n
     m = n // 2 - 1
     support = np.arange(-m, m + 1)

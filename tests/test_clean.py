@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
+import trawlprice.clean as clean
 from trawlprice import (
     CleanConfig,
     RawColumns,
@@ -306,6 +308,79 @@ class TestRawCsv:
         bad.write_text("log_t,bid,bidsz,ask,asksz,trade,tradesz\n,,,,,1.0,1\n")
         with pytest.raises(ValueError, match="time stamp"):
             read_raw_csv(bad)
+
+
+# (csv text, whether read_raw_csv parses it in one pass)
+FAST_EDGES = {
+    "crlf": (HEADER.replace("\n", "\r\n") + "0.5,1,2,3,4,,\r\n\r\n1.5,,,,,2,1\r\n", True),
+    "trailing-empty-cell": (HEADER + "0.5,1,2,3,4,5,\n1.5,1,2,3,4,5,", True),
+    "stamp-only-row": (HEADER + "0.5,,,,,,\n1.5,,,,,,", True),
+    "reordered-repeated-columns": (
+        "trade,log_t,tradesz,ask,asksz,bid,bidsz,trade\n9,0.5,6,,4,1,2,5\n,1.5,,3,,,,\n,2.5,,,,,,7\n", True
+    ),
+    "number-forms": (HEADER + "1E5,+.5,-0,1e400,-1e400,1e-400,5.\n", True),
+    "blank-lines": (HEADER + "\n0.5,,,,,1,1\n\n\n1.5,,,,,2,1\n", True),
+    "header-only": (HEADER, True),
+    "short-row": (HEADER + "0.5,,,,,1,1\n1.5,,,,\n", False),
+    "lone-minus": (HEADER + "0.5,,,,,1,1\n1.5,-,,,,1,1\n", False),
+    "quote": (HEADER + '0.5,,,,,"1",1\n', False),
+    "space": (HEADER + "0.5, 1 ,,,,1,1\n", False),
+    "recorded-nan": (HEADER + "0.5,nan,,,,1,1\n", False),
+    "underscore-digits": (HEADER + "0.5,,,,,1_00.0,1\n", False),
+    "lone-cr": (HEADER + "0.5,,,,,1,1\r1.5,,,,,2,1\n", False),
+}
+
+
+def _outcome(read, raw):
+    """What ``read`` makes of the feed ``raw``: its columns as bytes, or its error text."""
+    try:
+        cols = read(raw)
+    except ValueError as exc:
+        return str(exc)
+    return cols.values.shape, cols.values.tobytes(), cols.present.tobytes()
+
+
+PLAIN_NUMBER = st.one_of(
+    st.just(""),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1E5", "+.5", "-0", "1e400", "-1e-400", "5.", "+1e+3", "007"]),
+)
+
+
+class TestFastPath:
+    """A plain numeric body is read in one float parse, cell for cell as the fallback reads it."""
+
+    @pytest.mark.parametrize("text, plain", FAST_EDGES.values(), ids=FAST_EDGES.keys())
+    def test_agrees_with_fallback(self, tmp_path, text, plain):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(text.encode("ascii"))
+        assert (clean._read_plain(raw) is not None) == plain
+        assert _outcome(read_raw_csv, raw) == _outcome(clean._read_cells, raw)
+
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.just([]),  # a blank line
+                st.lists(PLAIN_NUMBER, min_size=7, max_size=9),
+                st.lists(st.one_of(PLAIN_NUMBER, st.text("0123456789.+-eE", min_size=1, max_size=4)), max_size=9),
+            ),
+            max_size=6,
+        ),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+        final_end=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plain_bodies_agree_with_fallback(self, tmp_path_factory, rows, line_end, final_end):
+        raw = tmp_path_factory.mktemp("feed") / "raw.csv"
+        body = line_end.join(",".join(row) for row in rows)
+        raw.write_bytes((HEADER.replace("\n", line_end) + body + line_end * final_end).encode("ascii"))
+        values, expected = clean._read_plain(raw), _outcome(clean._read_cells, raw)
+        if isinstance(expected, str):  # the fallback rejects the body, and names the bad row
+            assert values is None
+        else:  # every plain body the fallback reads takes the fast path
+            assert values is not None
+            assert (values.shape, values.tobytes(), (~np.isnan(values)).tobytes()) == expected
 
 
 def _synthetic_feed(seed: int, n: int = 400) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import trawlprice.clean as clean
 import trawlprice.cli as cli
 from trawlprice import (
     ExponentialTrawl,
@@ -296,6 +297,26 @@ class TestSignature:
         assert_allclose(objective, np.sum((fitted - empirical) ** 2), rtol=1e-12)
 
 
+def _plain_feed(seed: int, n: int) -> str:
+    """``n`` quote and trade records with plain numeric cells only: no quote, space or recorded nan."""
+    rng = np.random.default_rng(seed)
+    price, ms, lines = 400, 0, ["log_t,bid,bidsz,ask,asksz,trade,tradesz"]
+    for _ in range(n):
+        ms += int(rng.integers(0, 3))  # a step of 0 repeats the stamp
+        kind, size = rng.random(), int(rng.integers(1, 50))
+        if kind < 0.25:
+            lines.append(f"{ms / 1000!r},{(price - 1) * 0.25!r},{size},{(price + 1) * 0.25!r},{size},,")
+        elif kind < 0.27:  # a print far outside the quotes
+            lines.append(f"{ms / 1000!r},,,,,{(price + 40) * 0.25!r},{size}")
+        elif kind < 0.29:  # a straddle of the price at a new stamp
+            ms += 1
+            lines += [f"{ms / 1000!r},,,,,{(price + d) * 0.25!r},{size}" for d in (-1, 1)]
+        else:
+            price += int(rng.integers(-1, 2))
+            lines.append(f"{ms / 1000!r},,,,,{price * 0.25!r},{size}")
+    return "\n".join(lines) + "\n"
+
+
 class TestClean:
     def test_reproduces_golden_files(self, tmp_path, capsys):
         out = str(tmp_path / "clean.csv")
@@ -308,6 +329,30 @@ class TestClean:
         assert Path(out + ".meta.json").read_bytes() == (DATA / "clean_expected.json").read_bytes()
         assert Path(diag).read_text() == (DATA / "clean_expected_diagnostics.txt").read_text()
         assert capsys.readouterr().out.startswith("clean:")
+
+    def test_fast_path_and_fallback_write_the_same_files(self, tmp_path, monkeypatch, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(_plain_feed(seed=11, n=3000))
+        assert clean._read_plain(raw) is not None  # the feed takes the fast path
+
+        def run(tag):
+            (tmp_path / tag).mkdir()
+            monkeypatch.chdir(tmp_path / tag)  # equal relative names give equal summaries and manifests
+            code = main(["clean", "--input", str(raw), "--tick-size", "0.25", "--step1",
+                         "--diagnostics", "diag.txt", "--output", "clean.csv"])
+            manifest = json.loads(Path("clean.csv.manifest.json").read_text())
+            del manifest["runtime_s"]
+            files = [Path(name).read_bytes() for name in ("clean.csv", "clean.csv.meta.json", "diag.txt")]
+            return code, capsys.readouterr(), manifest, files
+
+        fast = run("fast")
+        monkeypatch.setattr(clean, "_read_plain", lambda file: None)
+        assert run("fallback") == fast
+        code, _, _, (_, _, diag) = fast
+        assert code == 0
+        assert {line.split()[0] for line in diag.decode().splitlines()} == {
+            "step1:", "step2:", "step3-1:", "step3-2:", "step4:",
+        }
 
     def test_diagnostics_to_stderr_by_default(self, tmp_path, capsys):
         out = str(tmp_path / "clean.csv")
