@@ -24,6 +24,7 @@ import io
 import itertools
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -233,37 +234,47 @@ def read_raw_csv(file) -> RawColumns:
     whitespace only or a quoted empty string is a missing value; a
     recorded ``nan`` is a value.  Extra columns are ignored, and when a
     column name repeats, its last occurrence is read.  Rows must carry a
-    time stamp.  A feed whose body holds only plain numbers, commas and
-    line ends is parsed in one pass; the meaning of a cell does not
-    depend on the path taken.
+    time stamp.  ``file`` is read once, so it may be a pipe, and decoded
+    as UTF-8 whatever the locale, skipping a leading byte-order mark; a
+    byte that is not UTF-8 reads as U+FFFD.  A feed whose body holds only
+    plain numbers, commas and line ends is parsed in one pass, undecoded;
+    the meaning of a cell does not depend on the path taken.
 
     Raises ``ValueError`` naming the line for a row that ends before one
     of the seven columns, and naming the line, column and cell for a
     cell that is not a number.  A number is read as ASCII text, so a
-    non-ASCII space inside a cell (e.g. U+00A0) makes it not a number.
+    non-ASCII character in a read cell (e.g. U+00A0 or U+FFFD) makes it
+    not a number; in an ignored column it does no harm.
     """
-    values = _read_plain(file)
-    cols = _read_cells(file) if values is None else RawColumns(values, ~np.isnan(values))
+    with open(file, "rb") as fh:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    usecols, start = _usecols(data)
+    values = _read_plain(data[start:], usecols)
+    cols = _read_cells(data, start, usecols) if values is None else RawColumns(values, ~np.isnan(values))
     if not cols.present[:, 0].all():
         raise ValueError("raw CSV row without a time stamp")
     return cols
 
 
-def _usecols(fh) -> list[int]:
-    """Read the header line of the open feed ``fh``; the positions of the seven columns in field order."""
-    header = next(csv.reader(fh), None)
+_decode = operator.methodcaller("decode", "utf-8", "replace")  # a feed's bytes as text, whatever the locale
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # one line, ended as open(newline="") ends it
+_PLAIN = b"0123456789.,+-eE\n"  # and "\r", but only as part of "\r\n"
+
+
+def _usecols(data: bytes) -> tuple[list[int], int]:
+    """The positions of the seven columns in field order, from the header of ``data``; and the offset of its body."""
+    lines = _LINE.finditer(data)
+    header = next(csv.reader(_decode(line.group()) for line in lines), None)
+    start = next(lines, None)  # the reader took only the header's lines (more than one inside quotes)
     missing = [c for c in _FIELDS if header is None or c not in header]
     if missing:
         raise ValueError(f"raw CSV is missing column(s) {missing}")
     position = {name: j for j, name in enumerate(header)}  # the last of a repeated name, as csv.DictReader
-    return [position[c] for c in _FIELDS]
+    return [position[c] for c in _FIELDS], len(data) if start is None else start.start()
 
 
-_PLAIN = b"0123456789.,+-eE\n"  # and "\r", but only as part of "\r\n"
-
-
-def _read_plain(file) -> np.ndarray | None:
-    """The values of a feed whose body is plain, in one float parse; None for any other body.
+def _read_plain(body: bytes, usecols: list[int]) -> np.ndarray | None:
+    """The values of a plain feed ``body``, in one float parse with no decoding; None for any other body.
 
     A plain body holds only the bytes of :data:`_PLAIN`.  It has no
     quote, no space and no recorded ``nan``, so its missing cells are
@@ -271,12 +282,6 @@ def _read_plain(file) -> np.ndarray | None:
     where its value is not nan.  A body that does not parse is left to
     :func:`_read_cells`, which names the bad row.
     """
-    with open(file, newline="") as fh:
-        usecols = _usecols(fh)
-        try:
-            body = fh.read().encode("ascii")
-        except UnicodeError:  # text the locale cannot decode, or any non-ASCII text
-            return None
     if body.translate(None, _PLAIN) != b"\r" * body.count(b"\r\n"):
         return None
     # an empty cell lies between two commas, or between a comma and the
@@ -295,44 +300,39 @@ def _read_plain(file) -> np.ndarray | None:
         return None
 
 
-def _read_cells(file) -> RawColumns:
-    """The columns of any feed, cell by cell: each cell is read as text, stripped, and converted when present."""
-    with open(file, newline="") as fh:
-        usecols = _usecols(fh)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on blank lines and on no rows
-                cells = np.loadtxt(
-                    fh, delimiter=",", dtype=bytes, quotechar='"', comments=None, ndmin=2, usecols=usecols
-                )
-            present = np.char.strip(cells) != b""
-            values = np.full(cells.shape, np.nan)
-            values[present] = cells[present].astype(float)
-        except ValueError as exc:
-            located = _locate_bad_row(file, usecols)
-            if located is None:
-                raise
-            raise located from exc
+def _read_cells(data: bytes, start: int, usecols: list[int]) -> RawColumns:
+    """The columns of the body ``data[start:]``, cell by cell: each cell is decoded, stripped and converted."""
+    text = io.StringIO(_decode(data[start:]), newline="")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on blank lines and on no rows
+            cells = np.loadtxt(text, delimiter=",", dtype=bytes, quotechar='"', comments=None, ndmin=2, usecols=usecols)
+        present = np.char.strip(cells) != b""
+        values = np.full(cells.shape, np.nan)
+        values[present] = cells[present].astype(float)
+    except ValueError as exc:
+        located = _locate_bad_row(data, start, usecols)
+        if located is None:
+            raise
+        raise located from exc
     return RawColumns(values, present)
 
 
-def _locate_bad_row(file, usecols: list[int]) -> ValueError | None:
-    """The error naming the first data row of ``file`` that the columnar read rejects, or None."""
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue  # a blank line holds no row
-            for name, j in zip(_FIELDS, usecols):
-                if j >= len(row):
-                    return ValueError(
-                        f"raw CSV line {reader.line_num} ends after {len(row)} cell(s), before column {name!r}"
-                    )
-                try:
-                    cell = np.bytes_(row[j].encode("latin-1"))  # as np.loadtxt stores text as bytes
-                    if cell.strip():
-                        cell.astype(float)
-                except ValueError:
-                    return ValueError(f"raw CSV line {reader.line_num}, column {name!r}: {row[j]!r} is not a number")
+def _locate_bad_row(data: bytes, start: int, usecols: list[int]) -> ValueError | None:
+    """The error naming the first row of the body ``data[start:]`` that the columnar read rejects, or None."""
+    above = len(_LINE.findall(data, 0, start))  # the header's lines
+    reader = csv.reader(_decode(line.group()) for line in _LINE.finditer(data, start))
+    for row in reader:
+        if not row:
+            continue  # a blank line holds no row
+        line = above + reader.line_num
+        for name, j in zip(_FIELDS, usecols):
+            if j >= len(row):
+                return ValueError(f"raw CSV line {line} ends after {len(row)} cell(s), before column {name!r}")
+            try:
+                cell = np.bytes_(row[j].encode("latin-1"))  # as np.loadtxt stores text as bytes
+                if cell.strip():
+                    cell.astype(float)
+            except ValueError:
+                return ValueError(f"raw CSV line {line}, column {name!r}: {row[j]!r} is not a number")
     return None

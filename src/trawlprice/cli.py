@@ -363,16 +363,16 @@ _RETIRED_KEYS = ("n_starts", "fit_seed")
 def _config_value_ok(kind: type, value) -> bool:
     """Whether a loaded config value fits an option of type ``kind``: a
     ``bool`` option takes a JSON boolean, a ``str`` option a string or
-    null, and a typed flag null or a value its type converts."""
-    if kind is bool:
-        return isinstance(value, bool)
+    null, and a typed flag null or a non-boolean its type converts exactly."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
     if value is None or kind is str:
         return value is None or isinstance(value, str)
     try:
         kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
-    return True
+    return not (kind is int and isinstance(value, float)) or value.is_integer()
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:

@@ -271,6 +271,39 @@ RAW_EDGES = {
         HEADER + "0.5,,,,,\u00a01.5,1\n", r"^raw CSV line 2, column 'trade': '\\xa01.5' is not a number$"
     ),
     "bad-cell": (HEADER + "0.5,,,,,1,1\n1.5,abc,,,,1,1\n", r"^raw CSV line 3, column 'bid': 'abc' is not a number$"),
+    "cr-line-ends": (
+        HEADER.replace("\n", "\r") + "0.5,,,,,1,1\r1.5,,,,,x,1\r",
+        r"^raw CSV line 3, column 'trade': 'x' is not a number$",
+    ),
+    "quoted-line-end-in-header": (
+        'log_t,"a\r\nb",bid,bidsz,ask,asksz,trade,tradesz\r\n0.5,x,,,,,1,1\r\n1.5,y,z,,,,1,1\r\n',
+        r"^raw CSV line 4, column 'bid': 'z' is not a number$",
+    ),
+}
+
+
+NOTE_HEADER = b"log_t,note,bid,bidsz,ask,asksz,trade,tradesz\n"
+BOM = b"\xef\xbb\xbf"
+
+# (feed bytes, the RawTick tuples read, or the ValueError message pattern):
+# every feed is decoded as UTF-8 whatever the locale, a bad byte as U+FFFD
+BYTE_EDGES = {
+    "latin-1-ignored": (NOTE_HEADER + b"0.5,caf\xe9,,,,,1,1\n", [(0.5, None, None, None, None, 1.0, 1.0)]),
+    "latin-1-in-ignored-name": (
+        b"log_t,caf\xe9,bid,bidsz,ask,asksz,trade,tradesz\n0.5,x,,,,,1,1\n", [(0.5, None, None, None, None, 1.0, 1.0)]
+    ),
+    "byte-order-mark": (BOM + HEADER.encode() + b"0.5,,,,,1,1\n", [(0.5, None, None, None, None, 1.0, 1.0)]),
+    "byte-order-mark-quoted": (BOM + HEADER.encode() + b'0.5,,,,,"1",1\n', [(0.5, None, None, None, None, 1.0, 1.0)]),
+    "byte-order-mark-crlf": (
+        BOM + HEADER.replace("\n", "\r\n").encode() + b"0.5,,,,,1,1\r\n", [(0.5, None, None, None, None, 1.0, 1.0)]
+    ),
+    "latin-1-in-read-cell": (
+        HEADER.encode() + b"0.5,,,,,1,1\n1.5,,,,,\xe91.5,1\n",
+        r"^raw CSV line 3, column 'trade': '\ufffd1.5' is not a number$",
+    ),
+    "truncated-utf-8-in-read-cell": (
+        NOTE_HEADER + b"0.5,\xe2\x82,\xe2\x82,,,,1,1\n", r"^raw CSV line 2, column 'bid': '\ufffd' is not a number$"
+    ),
 }
 
 
@@ -287,15 +320,30 @@ class TestRawCsv:
         assert list(recs[1:3]) == [recs[1], recs[2]] and recs[-1] == recs[16]
         assert list(RawColumns.from_ticks(list(recs))) == list(recs)
 
-    @pytest.mark.parametrize("text, expected", RAW_EDGES.values(), ids=RAW_EDGES.keys())
+    @pytest.mark.parametrize(
+        "text, expected", [*RAW_EDGES.values(), *BYTE_EDGES.values()], ids=[*RAW_EDGES, *BYTE_EDGES]
+    )
     def test_edge_inputs(self, tmp_path, text, expected):
         raw = tmp_path / "raw.csv"
-        raw.write_bytes(text.encode("utf-8"))
+        raw.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=expected):
                 read_raw_csv(raw)
         else:  # compared as repr so that nan equals nan
             assert repr([dataclasses.astuple(r) for r in read_raw_csv(raw)]) == repr(expected)
+
+    @pytest.mark.parametrize("body, error", [
+        ("0.5,,,,,1,1\n", None),  # plain: the one float parse
+        ('0.5,,,,,"1",1\n', None),  # quoted: the cell-by-cell reader
+        ("0.5,,,,,1,1\n1.5,,,,,x,1\n", "raw CSV line 3, column 'trade': 'x' is not a number"),
+    ], ids=["plain", "quoted", "bad-cell"])
+    def test_opens_the_feed_once(self, tmp_path, monkeypatch, body, error):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(HEADER + body)
+        opened = []
+        monkeypatch.setattr(clean, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw), raising=False)
+        assert _outcome(read_raw_csv, raw) == (error or _outcome(clean._read_cells, *_split(raw.read_bytes())))
+        assert opened == [(raw, "rb")]
 
     def test_missing_column_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -331,13 +379,19 @@ FAST_EDGES = {
 }
 
 
-def _outcome(read, raw):
-    """What ``read`` makes of the feed ``raw``: its columns as bytes, or its error text."""
+def _outcome(read, *args):
+    """What ``read(*args)`` makes of a feed: its columns as bytes, or its error text."""
     try:
-        cols = read(raw)
+        cols = read(*args)
     except ValueError as exc:
         return str(exc)
     return cols.values.shape, cols.values.tobytes(), cols.present.tobytes()
+
+
+def _split(data: bytes) -> tuple[bytes, int, list[int]]:
+    """The feed ``data``, the offset of its body and the positions of its seven columns, as the readers take them."""
+    usecols, start = clean._usecols(data)
+    return data, start, usecols
 
 
 PLAIN_NUMBER = st.one_of(
@@ -355,8 +409,9 @@ class TestFastPath:
     def test_agrees_with_fallback(self, tmp_path, text, plain):
         raw = tmp_path / "raw.csv"
         raw.write_bytes(text.encode("ascii"))
-        assert (clean._read_plain(raw) is not None) == plain
-        assert _outcome(read_raw_csv, raw) == _outcome(clean._read_cells, raw)
+        data, start, usecols = _split(raw.read_bytes())
+        assert (clean._read_plain(data[start:], usecols) is not None) == plain
+        assert _outcome(read_raw_csv, raw) == _outcome(clean._read_cells, data, start, usecols)
 
     @given(
         rows=st.lists(
@@ -371,11 +426,10 @@ class TestFastPath:
         final_end=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_plain_bodies_agree_with_fallback(self, tmp_path_factory, rows, line_end, final_end):
-        raw = tmp_path_factory.mktemp("feed") / "raw.csv"
+    def test_plain_bodies_agree_with_fallback(self, rows, line_end, final_end):
         body = line_end.join(",".join(row) for row in rows)
-        raw.write_bytes((HEADER.replace("\n", line_end) + body + line_end * final_end).encode("ascii"))
-        values, expected = clean._read_plain(raw), _outcome(clean._read_cells, raw)
+        data, start, usecols = _split((HEADER.replace("\n", line_end) + body + line_end * final_end).encode("ascii"))
+        values, expected = clean._read_plain(data[start:], usecols), _outcome(clean._read_cells, data, start, usecols)
         if isinstance(expected, str):  # the fallback rejects the body, and names the bad row
             assert values is None
         else:  # every plain body the fallback reads takes the fast path

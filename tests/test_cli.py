@@ -333,7 +333,8 @@ class TestClean:
     def test_fast_path_and_fallback_write_the_same_files(self, tmp_path, monkeypatch, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text(_plain_feed(seed=11, n=3000))
-        assert clean._read_plain(raw) is not None  # the feed takes the fast path
+        usecols, start = clean._usecols(raw.read_bytes())
+        assert clean._read_plain(raw.read_bytes()[start:], usecols) is not None  # the feed takes the fast path
 
         def run(tag):
             (tmp_path / tag).mkdir()
@@ -346,13 +347,32 @@ class TestClean:
             return code, capsys.readouterr(), manifest, files
 
         fast = run("fast")
-        monkeypatch.setattr(clean, "_read_plain", lambda file: None)
+        monkeypatch.setattr(clean, "_read_plain", lambda body, usecols: None)
         assert run("fallback") == fast
         code, _, _, (_, _, diag) = fast
         assert code == 0
         assert {line.split()[0] for line in diag.decode().splitlines()} == {
             "step1:", "step2:", "step3-1:", "step3-2:", "step4:",
         }
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.replace(b",1498.50,", b',"1498.50",', 1),  # a quoted cell: read cell by cell
+        lambda raw: b"\n".join(line + (b",caf\xe9" if k else b",note") for k, line in enumerate(raw.splitlines())),
+        lambda raw: b"\xef\xbb\xbf" + raw,
+    ], ids=["quoted-cell", "latin-1-note", "byte-order-mark"])
+    def test_reads_a_piped_feed_in_an_ascii_locale(self, tmp_path, edit):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        run = subprocess.run(
+            [sys.executable, "-m", "trawlprice", "clean", "--input", "/dev/stdin", "--tick-size", "0.25",
+             "--m-factor", "9.5", "--step1", "--diagnostics", "diag.txt", "--output", "clean.csv"],
+            input=edit((DATA / "raw_ticks.csv").read_bytes()), capture_output=True, cwd=tmp_path, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        for name, golden in [("clean.csv", "clean_expected.csv"), ("clean.csv.meta.json", "clean_expected.json"),
+                             ("diag.txt", "clean_expected_diagnostics.txt")]:
+            assert (tmp_path / name).read_bytes() == (DATA / golden).read_bytes()
 
     def test_diagnostics_to_stderr_by_default(self, tmp_path, capsys):
         out = str(tmp_path / "clean.csv")
@@ -708,7 +728,13 @@ class TestExitCodes:
         ("fit", {"family": [1]}, "key 'family': [1] is not a valid str"),
         ("simulate", {"output": 5}, "key 'output': 5 is not a valid str"),
         ("clean", {"step1": "yes"}, "key 'step1': 'yes' is not a valid bool"),
-    ], ids=["list-for-str", "number-for-path", "str-for-bool"])
+        ("simulate", {"seed": True}, "key 'seed': True is not a valid int"),
+        ("simulate", {"v0": 1.5}, "key 'v0': 1.5 is not a valid int"),
+        ("simulate", {"seed": math.inf}, "key 'seed': inf is not a valid int"),
+        ("simulate", {"t_end": True}, "key 't_end': True is not a valid float"),
+        ("fit", {"grid_points": 64.9}, "key 'grid_points': 64.9 is not a valid int"),
+    ], ids=["list-for-str", "number-for-path", "str-for-bool", "bool-for-int", "fraction-for-int", "infinity-for-int",
+            "bool-for-float", "fraction-for-grid-points"])
     def test_config_option_of_wrong_json_type_is_data_error(self, tmp_path, params_file, capsys, command, loaded, error):
         out = str(tmp_path / "x.out")
         flags = {

@@ -200,7 +200,8 @@ class TestVarianceGrid:
 
     def test_rejects_window_beyond_half_span(self):
         with pytest.raises(ValueError, match="fewer than 2"):
-            variance_grid(_manual_path(), [6.0])
+            with pytest.warns(UserWarning, match=r"dropping window length 6\.0: "):  # warned before it raises
+                variance_grid(_manual_path(), [6.0])
 
     def test_drop_mode_warns_and_drops(self):
         with pytest.warns(UserWarning, match=r"dropping window length 6\.0: "):
