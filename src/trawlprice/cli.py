@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .clean import CleanConfig, _fmt, clean_ticks, read_raw_csv
 from .estimate import DEFAULT_GRID, bootstrap, collect_stats, fit_signature, variance_grid
-from .model import ModelParams
+from .model import ModelParams, _whole
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
 from .theory import return_cumulant, return_pmf
@@ -127,8 +128,7 @@ def _write_path(path, out_csv: str) -> list[str]:
 
 
 def _grid_from_cfg(cfg: dict) -> np.ndarray:
-    n = int(cfg["grid_points"])
-    lo, hi = float(cfg["grid_min"]), float(cfg["grid_max"])
+    n, lo, hi = cfg["grid_points"], cfg["grid_min"], cfg["grid_max"]
     if n < 2 or not (0.0 < lo < hi):
         raise ValueError(f"invalid grid: min={lo}, max={hi}, points={n}")
     return np.geomspace(lo, hi, n)
@@ -146,7 +146,7 @@ def _signature_counts(path, windows) -> dict:
 
 def _cmd_simulate(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
-    path = simulate_path(params, float(cfg["t_start"]), float(cfg["t_end"]), int(cfg["v0"]), int(cfg["seed"]))
+    path = simulate_path(params, cfg["t_start"], cfg["t_end"], cfg["v0"], cfg["seed"])
     outputs = _write_path(path, cfg["output"])
     summary = f"{path.n_events} events on ({path.t_start}, {path.t_end}] -> {cfg['output']}"
     return _Run([cfg["params"]], outputs, summary, counts={"events": path.n_events})
@@ -157,14 +157,8 @@ def _cmd_clean(cfg: dict) -> _Run:
         records = read_raw_csv(cfg["input"])
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read raw feed from {cfg['input']}: {exc}") from exc
-    result = clean_ticks(
-        records,
-        CleanConfig(
-            tick_size=float(cfg["tick_size"]),
-            m_factor=float(cfg["m_factor"]),
-            apply_step1=bool(cfg["step1"]),
-        ),
-    )
+    config = CleanConfig(tick_size=cfg["tick_size"], m_factor=cfg["m_factor"], apply_step1=cfg["step1"])
+    result = clean_ticks(records, config)
     outputs = _write_path(result.path, cfg["output"])
     diag_text = "".join(line + "\n" for line in result.diagnostics)
     if cfg.get("diagnostics"):
@@ -195,9 +189,8 @@ def _cmd_fit(cfg: dict) -> _Run:
 
 def _cmd_pmf(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
-    n_points = cfg.get("n_points")
     try:
-        result = return_pmf(params, float(cfg["t"]), None if n_points is None else int(n_points))
+        result = return_pmf(params, cfg["t"], cfg["n_points"])
     except ArithmeticError as exc:
         raise ValueError(str(exc)) from exc
     rows = [[int(y), _fmt(p)] for y, p in zip(result.support, result.probabilities)]
@@ -211,7 +204,7 @@ def _cmd_pmf(cfg: dict) -> _Run:
 
 def _cmd_acf(cfg: dict) -> _Run:
     params = _load_params(cfg["params"])
-    gamma, rho = theory_acf(params, float(cfg["delta"]), int(cfg["k_max"]))
+    gamma, rho = theory_acf(params, cfg["delta"], cfg["k_max"])
     rows = [[k + 1, _fmt(g), _fmt(r)] for k, (g, r) in enumerate(zip(gamma, rho))]
     _atomic_csv(cfg["output"], ["k", "gamma", "rho"], rows)
     return _Run([cfg["params"]], [cfg["output"]], f"delta={cfg['delta']} k_max={cfg['k_max']} -> {cfg['output']}")
@@ -237,13 +230,13 @@ def _cmd_bootstrap(cfg: dict) -> _Run:
     try:
         result = bootstrap(
             params,
-            span=float(cfg["span"]),
-            v0=int(cfg["v0"]),
-            n_paths=int(cfg["n_paths"]),
+            span=cfg["span"],
+            v0=cfg["v0"],
+            n_paths=cfg["n_paths"],
             family=family,
-            seed=int(cfg["seed"]),
+            seed=cfg["seed"],
             deltas=_grid_from_cfg(cfg),
-            n_workers=int(cfg["workers"]),
+            n_workers=cfg["workers"],
         )
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
@@ -280,13 +273,7 @@ def _default_workers() -> int:
     """``TRAWLPRICE_WORKERS`` when set and not empty, else the CPU affinity count."""
     env = os.environ.get("TRAWLPRICE_WORKERS")
     if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"TRAWLPRICE_WORKERS must be an integer >= 1, got {env!r}")
-        return workers
+        return _whole(env, "TRAWLPRICE_WORKERS must be an integer >= 1", 1, text=True)
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -360,19 +347,17 @@ def _build_parser() -> _Parser:
 _RETIRED_KEYS = ("n_starts", "fit_seed")
 
 
-def _config_value_ok(kind: type, value) -> bool:
-    """Whether a loaded config value fits an option of type ``kind``: a
-    ``bool`` option takes a JSON boolean, a ``str`` option a string or
-    null, and a typed flag null or a non-boolean its type converts exactly."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if value is None or kind is str:
-        return value is None or isinstance(value, str)
-    try:
-        kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return not (kind is int and isinstance(value, float)) or value.is_integer()
+def _option_value(kind: type, value):
+    """A loaded config value as its option's type ``kind``, as argparse stores a flag: a JSON
+    boolean for ``bool``, a string for ``str``, a number or a string ``kind`` parses for ``float``
+    and ``int`` (a whole number); null stays null but for ``bool``.  A ``ValueError`` otherwise."""
+    if kind in (bool, str) or value is None:
+        if isinstance(value, kind) or (value is None and kind is not bool):
+            return value
+    elif isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            return _whole(value, kind.__name__, text=True) if kind is int else kind(value)
+    raise ValueError(f"{value!r} is not a valid {kind.__name__}")
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -392,10 +377,10 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
         for key, value in loaded.items():
-            kind = _FLAG_TYPES.get(key, str)
-            if not _config_value_ok(kind, value):
-                raise ValueError(f"config {args.config} key {key!r}: {value!r} is not a valid {kind.__name__}")
-        cfg.update(loaded)
+            try:
+                cfg[key] = _option_value(_FLAG_TYPES.get(key, str), value)
+            except ValueError as exc:
+                raise ValueError(f"config {args.config} key {key!r}: {exc}") from None
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cfg.update(explicit)
     missing = [k for k, d in defaults.items() if d is _REQUIRED and (cfg[k] is None or cfg[k] is _REQUIRED)]

@@ -21,7 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _LazyModule, sps
+from .model import (
+    LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _LazyModule, _whole, sps,
+)
 from .simulate import PricePath, _running_move, _window_sums, realized_pv, simulate_path
 
 __all__ = [
@@ -183,7 +185,7 @@ def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> Lev
         raise ValueError(f"permanence parameter must lie in (0, 1], got {b!r}")
     if not (math.isfinite(beta0) and beta0 > 0.0):
         raise ValueError(f"event rate beta_0 must be finite and > 0, got {beta0!r}")
-    a = {int(y): float(p) for y, p in alpha.items()}
+    a = {_whole(y, "frequencies must be keyed by nonzero integer sizes"): float(p) for y, p in alpha.items()}
     if any(p < 0.0 or not math.isfinite(p) for p in a.values()) or any(y == 0 for y in a):
         raise ValueError("frequencies must be finite, nonnegative, and keyed by nonzero sizes")
     total = sum(a.values())
@@ -478,8 +480,7 @@ def fit_signature(
     ``objective`` are those of the kept shape; ``converged`` reports the
     polish.
     """
-    if not (float(n_starts).is_integer() and n_starts >= 1):
-        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    _whole(n_starts, "n_starts must be an integer >= 1", 1)
     cls = _fit_family(family)
     if stats.deltas.size < 3:
         raise ValueError("variance signature needs at least 3 grid points")
@@ -596,20 +597,18 @@ def bootstrap(
     other than ``ValueError``).  ``n_workers`` is an integer >= 1, or
     None for a serial run.
     """
-    if not (n_paths >= 2 and float(n_paths).is_integer()):
-        raise ValueError(f"need at least 2 replicas, got {n_paths!r}")
-    if n_workers is not None and not (n_workers >= 1 and float(n_workers).is_integer()):
-        raise ValueError(f"need an integer worker count >= 1, got {n_workers!r}")
-    n_paths = int(n_paths)
+    n_paths = _whole(n_paths, "need at least 2 replicas", 2)
+    n_workers = None if n_workers is None else _whole(n_workers, "need an integer worker count >= 1", 1)
+    v0 = _whole(v0, "v0 must be an integer tick count")
+    seed = _whole(seed, "seed must be an integer >= 0", 0)
     if family is None:
         family = params.trawl.family.name
     _fit_family(family)
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)
-    jobs = [(params, float(span), int(v0), family, int(seed), i, deltas) for i in range(n_paths)]
+    jobs = [(params, float(span), v0, family, seed, i, deltas) for i in range(n_paths)]
     if n_workers is not None and n_workers > 1:
-        n_workers = int(n_workers)
         from concurrent.futures import ProcessPoolExecutor  # only a parallel bootstrap needs it
 
         optimize.minimize, sps.kve  # import scipy once, before the workers fork, not in each of them
@@ -645,7 +644,7 @@ def bootstrap(
         se=se,
         means=means,
         n_nonconverged=int(len(raw) - converged.sum()),
-        seed=int(seed),
+        seed=seed,
         failures=failures,
         work=dict(work),
     )

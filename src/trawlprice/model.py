@@ -18,9 +18,11 @@ area ``leb_area = (1 - b) * integral d_tilde``, the overlap
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import math
+import numbers
 import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -68,6 +70,20 @@ def _integer_or_none(y) -> int | None:
     return yi if yi == y else None
 
 
+def _whole(value, need: str, low: float = -math.inf, text: bool = False) -> int:
+    """The one test of a whole-number argument: ``value`` as an int where it
+    is a non-bool integer or an integral finite float (with ``text``, also a
+    string ``int`` parses) of at least ``low``, else ``ValueError("<need>, got <value>")``."""
+    whole = value
+    if text and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            whole = int(value)
+    if isinstance(whole, numbers.Real) and not isinstance(whole, bool):
+        if (isinstance(whole, numbers.Integral) or float(whole).is_integer()) and int(whole) >= low:
+            return int(whole)
+    raise ValueError(f"{need}, got {value!r}")
+
+
 def _match(values: np.ndarray, template) -> "float | np.ndarray":
     """Return a float for scalar input, an ndarray otherwise."""
     if np.ndim(template) == 0:
@@ -95,8 +111,8 @@ class LevyMeasure:
     def __init__(self, intensities: Mapping[int, float]):
         cleaned: dict[int, float] = {}
         for y, rate in intensities.items():
-            yi = int(y)
-            if yi != y or yi == 0:
+            yi = _whole(y, "jump size must be a nonzero integer")
+            if yi == 0:
                 raise ValueError(f"jump size must be a nonzero integer, got {y!r}")
             r = float(rate)
             if not math.isfinite(r) or r < 0.0:
@@ -153,8 +169,7 @@ class LevyMeasure:
         All cumulants of a compound-Poisson integer basis are plain power
         sums against the intensity; ``j`` must be a positive integer.
         """
-        if int(j) != j or j < 1:
-            raise ValueError(f"cumulant order must be a positive integer, got {j!r}")
+        j = _whole(j, "cumulant order must be a positive integer", 1)
         return float(np.sum(self._rates * np.float_power(self._sizes.astype(float), j)))
 
     def abs_moment(self, r: float) -> float:
@@ -750,7 +765,8 @@ class ModelParams:
             b = float(data["b"])
             trawl_block = _mapping(data["trawl"], "trawl")
             family = family_from_params(trawl_block["family"], _mapping(trawl_block["params"], "trawl.params"))
-            levy = LevyMeasure({int(k): float(v) for k, v in _mapping(data["levy"], "levy").items()})
+            nu = _mapping(data["levy"], "levy")
+            levy = LevyMeasure({_whole(y, "levy size must be an integer", text=True): float(r) for y, r in nu.items()})
         except KeyError as exc:
             raise ValueError(f"model JSON is missing required field {exc}") from exc
         return cls(levy=levy, trawl=TrawlSpec(b=b, family=family))

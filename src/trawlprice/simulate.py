@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _whole
 
 __all__ = [
     "PricePath",
@@ -60,8 +60,7 @@ class PricePath:
         jumps = np.asarray(self.jumps)
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end) and self.t_start < self.t_end):
             raise ValueError("need finite t_start < t_end")
-        if int(self.v0) != self.v0:
-            raise ValueError("v0 must be an integer tick count")
+        object.__setattr__(self, "v0", _whole(self.v0, "v0 must be an integer tick count"))
         if times.ndim != 1 or jumps.shape != times.shape:
             raise ValueError("times and jumps must be matching 1-d arrays")
         if times.size:
@@ -80,7 +79,6 @@ class PricePath:
         jumps.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "v0", int(self.v0))
 
     @property
     def n_events(self) -> int:
@@ -230,12 +228,13 @@ def simulate_path(params: ModelParams, t_start: float, t_end: float, v0: int, rn
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start < t_end):
         raise ValueError("need finite t_start < t_end")
+    v0 = _whole(v0, "v0 must be an integer tick count")  # before the events are drawn
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     times, jumps, _, _ = _generate_events(params, float(t_start), float(t_end), rng)
     # other exact time ties have probability zero; they are ordered by
     # insertion sequence and never merged, so a real tie fails the path
     # invariant loudly
-    return PricePath(v0=int(v0), t_start=float(t_start), t_end=float(t_end), times=times, jumps=jumps, seed=seed)
+    return PricePath(v0=v0, t_start=float(t_start), t_end=float(t_end), times=times, jumps=jumps, seed=seed)
 
 
 def window_index(times, t_start: float, delta: float) -> np.ndarray:
@@ -342,9 +341,11 @@ def write_path_csv(path: PricePath, csv_file, sidecar_file) -> None:
 
 
 def read_path_csv(csv_file, sidecar_file) -> PricePath:
-    """Inverse of :func:`write_path_csv`; lossless round trip."""
+    """Inverse of :func:`write_path_csv`; lossless round trip.  A malformed sidecar raises ``ValueError``."""
     with open(sidecar_file) as fh:
         meta = json.load(fh)
+    if not (isinstance(meta, dict) and all(isinstance(meta.get(k), (int, float, str)) for k in ("t_start", "t_end"))):
+        raise ValueError("sidecar must hold a JSON object with numbers t_start and t_end")
     with open(csv_file) as fh:
         header = fh.readline().split(",")
         if [h.strip() for h in header[:2]] != ["time", "price_ticks"]:
@@ -356,7 +357,7 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
                 fh, delimiter=",", dtype=[("t", float), ("p", np.int64)],
                 usecols=(0, 1), ndmin=1, comments=None, unpack=True,
             )
-    v0 = int(meta["v0"])
+    v0 = _whole(meta["v0"], "sidecar v0 must be an integer", text=True)
     if not -(2**63) <= v0 < 2**63:
         raise ValueError(f"v0 {v0} leaves the int64 range")
     if abs(v0) + max(int(prices.max(initial=0)), -int(prices.min(initial=0))) >= 2**62:  # a jump may wrap
@@ -371,5 +372,5 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
         t_end=float(meta["t_end"]),
         times=np.ascontiguousarray(times),  # a field view would keep the price column alive
         jumps=jumps,
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _whole(seed, "sidecar seed must be an integer or null", text=True),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LevyMeasure, ModelParams, _integer_or_none
+from .model import LevyMeasure, ModelParams, _integer_or_none, _whole
 
 __all__ = [
     "return_cumulant",
@@ -46,9 +46,8 @@ def return_cumulant(params: ModelParams, t: float, j: int) -> float:
     fleeting contribution twice: ``(b * t + 2 * increment(t)) * kappa_j``.
     """
     t = _check_horizon(t)
-    if int(j) != j or j < 1:
-        raise ValueError(f"cumulant order must be a positive integer, got {j!r}")
-    kj = params.levy.cumulant(int(j))
+    j = _whole(j, "cumulant order must be a positive integer", 1)
+    kj = params.levy.cumulant(j)
     if j % 2 == 1:
         return params.b * t * kj
     return (params.b * t + 2.0 * params.trawl.increment(t)) * kj
@@ -128,6 +127,7 @@ class PmfResult:
         return float(np.sum((self.support - m) ** 2 * self.probabilities))
 
     def central_moment(self, j: int) -> float:
+        j = _whole(j, "moment order must be a positive integer", 1)
         m = self.mean()
         return float(np.sum((self.support - m) ** j * self.probabilities))
 
@@ -206,8 +206,8 @@ def return_pmf(params: ModelParams, t: float, n_points: int | None = None) -> Pm
     if n_points is None:
         n = _auto_points(params, u, psi, log_m2)
     else:
-        n = int(n_points)
-        if n != n_points or n < 4 or n % 2 != 0:
+        n = _whole(n_points, "n_points must be an even integer >= 4", 4)
+        if n % 2 != 0:
             raise ValueError(f"n_points must be an even integer >= 4, got {n_points!r}")
         if n // 2 <= int(np.abs(params.levy.sizes).max()):
             raise ValueError("n_points too small to cover single-jump support")
@@ -251,9 +251,8 @@ def acf(params: ModelParams, delta: float, k_max: int) -> tuple[np.ndarray, np.n
     never positive, since fleeting moves can only revert.
     """
     delta = _check_horizon(delta)
-    if int(k_max) != k_max or k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    k = np.arange(0, int(k_max) + 2)
+    k_max = _whole(k_max, "k_max must be a positive integer", 1)
+    k = np.arange(0, k_max + 2)
     inc = np.asarray(params.trawl.increment(k * delta))
     second_diff = inc[2:] - 2.0 * inc[1:-1] + inc[:-2]
     gamma = second_diff * params.levy.cumulant(2)
@@ -282,7 +281,6 @@ def expected_rv(params: ModelParams, span: float, n: int) -> float:
     plus the drift-squared term.
     """
     span = _check_horizon(span)
-    if int(n) != n or n < 1:
-        raise ValueError(f"window count must be a positive integer, got {n!r}")
-    d = span / int(n)
-    return int(n) * (return_cumulant(params, d, 2) + return_cumulant(params, d, 1) ** 2)
+    n = _whole(n, "window count must be a positive integer", 1)
+    d = span / n
+    return n * (return_cumulant(params, d, 2) + return_cumulant(params, d, 1) ** 2)

@@ -574,6 +574,46 @@ class TestOptionTables:
         options = {key for _, defaults in cli._COMMANDS.values() for key in defaults}
         assert set(cli._FLAG_TYPES) <= options
 
+    def test_untyped_options_are_text(self):
+        # the commands pass option values to the library as resolved, so a
+        # numeric option missing from _FLAG_TYPES would arrive as a string
+        options = {key for _, defaults in cli._COMMANDS.values() for key in defaults}
+        assert options - set(cli._FLAG_TYPES) == {
+            "params", "input", "output", "sidecar", "family", "signature_output", "diagnostics", "fitted_params",
+        }
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_config_values_resolve_to_their_option_type(self, tmp_path, command):
+        defaults = cli._COMMANDS[command][1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True if cli._FLAG_TYPES.get(key) is bool else "8" for key in defaults}))
+        resolved = cli._resolve_config(cli._build_parser().parse_args([command, "--config", str(cfg)]), defaults)
+        assert {k: type(v) for k, v in resolved.items()} == {k: cli._FLAG_TYPES.get(k, str) for k in defaults}
+
+    @pytest.mark.parametrize("command, loaded, flags", [
+        ("simulate", {"seed": "5", "t_end": 10, "v0": 0}, ["--seed", "5", "--t-end", "10", "--v0", "0"]),
+        ("pmf", {"t": 1}, ["--t", "1"]),
+        ("acf", {"delta": 1}, ["--delta", "1"]),
+    ], ids=["simulate", "pmf", "acf"])
+    def test_config_and_flags_record_the_same_run(self, tmp_path, params_file, capsys, monkeypatch,
+                                                  command, loaded, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        runs = []
+        for how in (["--config", str(cfg)], flags):
+            # the same relative output path in two directories, so the
+            # manifests and summaries name the same file
+            run_dir = tmp_path / str(len(runs))
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            capsys.readouterr()
+            assert main([command, "--params", params_file, *how, "--output", "out.csv"]) == 0
+            manifest = json.loads(Path("out.csv.manifest.json").read_text())
+            del manifest["runtime_s"]
+            outputs = {name: Path(name).read_bytes() for name in manifest["outputs"]}
+            runs.append((manifest, outputs, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -644,6 +684,25 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([command, "--input", path_csv, *flags, "--output", str(out)]) == 2
         assert "invalid grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    @pytest.mark.parametrize("sidecar", [
+        "[1, 2]",
+        '{"v0": null, "t_start": 0.0, "t_end": 2000.0, "seed": 1}',
+        '{"v0": 7486, "t_start": null, "t_end": 2000.0, "seed": 1}',
+        '{"v0": 7486, "t_start": 0.0, "t_end": 2000.0, "seed": [1]}',
+        '{"v0": Infinity, "t_start": 0.0, "t_end": 2000.0, "seed": 1}',
+        '{"v0": 1.5, "t_start": 0.0, "t_end": 2000.0, "seed": 2.7}',
+    ], ids=["array", "null-v0", "null-t_start", "list-seed", "infinite-v0", "fractional-v0-and-seed"])
+    def test_malformed_sidecar_is_data_error(self, tmp_path, params_file, capsys, command, sidecar):
+        path_csv = _simulate(tmp_path, params_file, t_end=2000.0)
+        Path(path_csv + ".meta.json").write_text(sidecar)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--input", path_csv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"trawlprice {command}: cannot load path from {path_csv}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_malformed_path_csv_is_data_error(self, tmp_path, capsys):

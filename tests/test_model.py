@@ -22,11 +22,22 @@ from trawlprice import (
     ExponentialTrawl,
     LevyMeasure,
     ModelParams,
+    PricePath,
     SupGammaTrawl,
     SupGigTrawl,
     TabulatedTrawl,
     TrawlSpec,
+    acf,
     bessel_k,
+    bootstrap,
+    collect_stats,
+    expected_rv,
+    fit_signature,
+    levy_from_moments,
+    read_path_csv,
+    return_cumulant,
+    return_pmf,
+    simulate_path,
 )
 import trawlprice.model
 from trawlprice.model import _FAMILIES, TrawlFamily, family_from_params
@@ -767,3 +778,76 @@ class TestModelParams:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing required field"):
             ModelParams.from_dict({"b": 0.5, "levy": {"1": 0.1}})
+
+
+# ---------------------------------------------------------------------------
+# Whole-number arguments
+# ---------------------------------------------------------------------------
+
+
+def _read_sidecar(tmp_path, **fields):
+    """An empty path read back through a sidecar holding ``fields``."""
+    csv_file, sidecar = tmp_path / "p.csv", tmp_path / "p.csv.meta.json"
+    csv_file.write_text("time,price_ticks\n")
+    sidecar.write_text(json.dumps({"v0": 0, "t_start": 0.0, "t_end": 1.0, "seed": None, **fields}))
+    return read_path_csv(csv_file, sidecar)
+
+
+def _model_json_with_size(params, size):
+    data = params.to_dict()
+    data["levy"] = {size: 0.5, "-1": 0.5}
+    return ModelParams.from_dict(data)
+
+
+# site: (call with the argument under test, its least allowed value or
+# None, whether the site parses text and so takes a numeric string)
+_WHOLE_SITES = {
+    "LevyMeasure-size": (lambda p, v, tmp: LevyMeasure({v: 0.5, -1: 0.5}), None, False),
+    "LevyMeasure.cumulant": (lambda p, v, tmp: p.levy.cumulant(v), 1, False),
+    "return_cumulant": (lambda p, v, tmp: return_cumulant(p, 1.0, v), 1, False),
+    "return_pmf-n_points": (lambda p, v, tmp: return_pmf(p, 1.0, v), 4, False),
+    "acf-k_max": (lambda p, v, tmp: acf(p, 1.0, v), 1, False),
+    "expected_rv-n": (lambda p, v, tmp: expected_rv(p, 100.0, v), 1, False),
+    "PmfResult.central_moment": (lambda p, v, tmp: return_pmf(p, 1.0).central_moment(v), 1, False),
+    "levy_from_moments-size": (lambda p, v, tmp: levy_from_moments({v: 0.5, -1: 0.5}, 1.0, 0.5), None, False),
+    "fit_signature-n_starts": (
+        lambda p, v, tmp: fit_signature(collect_stats(simulate_path(p, 0.0, 2000.0, 0, 3)), n_starts=v), 1, False,
+    ),
+    "bootstrap-n_paths": (lambda p, v, tmp: bootstrap(p, span=100.0, v0=0, n_paths=v), 2, False),
+    "bootstrap-n_workers": (lambda p, v, tmp: bootstrap(p, span=100.0, v0=0, n_paths=2, n_workers=v), 1, False),
+    "bootstrap-v0": (lambda p, v, tmp: bootstrap(p, span=100.0, v0=v, n_paths=2), None, False),
+    "bootstrap-seed": (lambda p, v, tmp: bootstrap(p, span=100.0, v0=0, n_paths=2, seed=v), 0, False),
+    "PricePath-v0": (lambda p, v, tmp: PricePath(v0=v, t_start=0.0, t_end=1.0, times=[], jumps=[]), None, False),
+    "simulate_path-v0": (lambda p, v, tmp: simulate_path(p, 0.0, 10.0, v, 1), None, False),
+    "sidecar-v0": (lambda p, v, tmp: _read_sidecar(tmp, v0=v), None, True),
+    "sidecar-seed": (lambda p, v, tmp: _read_sidecar(tmp, seed=v), None, True),
+    "model-json-size": (lambda p, v, tmp: _model_json_with_size(p, v), None, True),
+}
+
+
+def _bad_whole_values(low, text):
+    """A fraction, the two non-finite floats, a bool, the value below ``low``,
+    and a numeric string where the site does not parse text."""
+    values = [1.5, math.inf, math.nan, True] + ([] if low is None else [low - 1])
+    return values + ([] if text else ["8"])
+
+
+class TestWholeNumberArguments:
+    @pytest.mark.parametrize(
+        "site, value",
+        [(site, v) for site, (_, low, text) in _WHOLE_SITES.items() for v in _bad_whole_values(low, text)],
+    )
+    def test_rejects_what_is_not_a_whole_number(self, base_params, tmp_path, site, value):
+        call = _WHOLE_SITES[site][0]
+        with pytest.raises(ValueError):
+            call(base_params, value, tmp_path)
+
+    def test_text_sites_read_a_numeric_string(self, base_params, tmp_path):
+        assert _read_sidecar(tmp_path, v0=" 7 ").v0 == 7
+        assert _read_sidecar(tmp_path, seed="7").seed == 7
+        assert _model_json_with_size(base_params, "7").levy.as_dict() == {7: 0.5, -1: 0.5}
+
+    def test_integral_floats_and_numpy_integers_pass_as_ints(self, base_params):
+        assert return_cumulant(base_params, 1.0, 2.0) == return_cumulant(base_params, 1.0, np.int64(2))
+        path = PricePath(v0=np.float64(3.0), t_start=0.0, t_end=1.0, times=[], jumps=[])
+        assert path.v0 == 3 and type(path.v0) is int
