@@ -347,12 +347,16 @@ def _build_parser() -> _Parser:
 _RETIRED_KEYS = ("n_starts", "fit_seed")
 
 
-def _option_value(kind: type, value):
+def _option_value(kind: type, value, default):
     """A loaded config value as its option's type ``kind``, as argparse stores a flag: a JSON
     boolean for ``bool``, a string for ``str``, a number or a string ``kind`` parses for ``float``
-    and ``int`` (a whole number); null stays null but for ``bool``.  A ``ValueError`` otherwise."""
-    if kind in (bool, str) or value is None:
-        if isinstance(value, kind) or (value is None and kind is not bool):
+    and ``int`` (a whole number).  null stays null only where the option's ``default`` is None
+    or the option is required, which it then leaves missing.  A ``ValueError`` otherwise."""
+    if value is None:
+        if default is None or default is _REQUIRED:
+            return value
+    elif kind in (bool, str):
+        if isinstance(value, kind):
             return value
     elif isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError, OverflowError):
@@ -378,7 +382,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValueError(f"config {args.config} has unknown key(s) {unknown}")
         for key, value in loaded.items():
             try:
-                cfg[key] = _option_value(_FLAG_TYPES.get(key, str), value)
+                cfg[key] = _option_value(_FLAG_TYPES.get(key, str), value, defaults[key])
             except ValueError as exc:
                 raise ValueError(f"config {args.config} key {key!r}: {exc}") from None
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}

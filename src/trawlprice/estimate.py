@@ -17,12 +17,12 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .model import (
-    LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _LazyModule, _whole, sps,
+    LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _whole, sps,
 )
 from .simulate import PricePath, _running_move, _window_sums, realized_pv, simulate_path
 
@@ -40,8 +40,6 @@ __all__ = [
     "NonparametricTrawl",
     "nonparametric_trawl",
 ]
-
-optimize = _LazyModule("scipy.optimize")
 
 #: Window lengths (seconds) used by default for variance signatures: 60
 #: log-spaced points from exactly 0.1 s to exactly 60 s (the CLI reads them back).
@@ -273,6 +271,12 @@ def _profile(cls: type[TrawlFamily], deltas: np.ndarray, theta: np.ndarray) -> n
     return cls._increment(deltas, *_shape_fields(cls, theta)) / deltas
 
 
+def _one_shape(cls: type[TrawlFamily], theta) -> list[float]:
+    """Constructor fields of one point of search coordinates, as floats made
+    as :func:`_shape_fields` makes each row's."""
+    return [math.exp(x) if c.log else float(x) for c, x in zip(cls.coords.values(), theta)]
+
+
 def _grid_blocks(cls: type[TrawlFamily], deltas: np.ndarray, grid: np.ndarray):
     """The profile rows of a grid, ``_GRID_BLOCK`` rows at a time.
 
@@ -346,18 +350,7 @@ def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarra
     projection gives the constrained minimum.  Returns ``(c, residuals,
     objective)``, one row or entry per shape, the residuals being
     ``empirical - curve``; a row with a non-finite ratio has objective inf.
-    A single row, as in every polish step, takes 1-d dot products and clips
-    ``c`` as a float: the same bits as the stacked rows, with less numpy
-    call overhead.
     """
-    if len(g) == 1:
-        row = g[0]
-        u = s0 * (1.0 - row)
-        a = empirical - s0 * row
-        uu = float(u.dot(u))
-        c = min(max(float(u.dot(a)) / uu, _C_BOUNDS[0]), _C_BOUNDS[1]) if uu > 0.0 else 1.0
-        r = a - c * u
-        return np.array([c]), r[None], np.array([float(r.dot(r)) if math.isfinite(uu) else math.inf])
     u = s0 * (1.0 - g)
     a = empirical - s0 * g
     uu = _rowdot(u, u)  # finite exactly when the row's ratios are, short of overflow
@@ -368,9 +361,201 @@ def _project(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[np.ndarra
     return c, r, np.where(np.isfinite(uu), _rowdot(r, r), np.inf)
 
 
-def _grid_polish(cls, deltas, score, bounds, box):
-    """Minimise ``score`` over shape coordinates, ``score`` mapping rows of
-    profile ratios to objective values.
+def _project_row(g: np.ndarray, empirical: np.ndarray, s0: float) -> tuple[float, np.ndarray, float]:
+    """:func:`_project` for one 1-d row of profile ratios, as in every polish
+    step: 1-d dot products and ``c`` clipped as a float give the same bits as
+    the stacked rows, with less numpy call overhead."""
+    u = s0 * (1.0 - g)
+    a = empirical - s0 * g
+    uu = float(u.dot(u))
+    c = min(max(float(u.dot(a)) / uu, _C_BOUNDS[0]), _C_BOUNDS[1]) if uu > 0.0 else 1.0
+    r = a - c * u
+    return c, r, float(r.dot(r)) if math.isfinite(uu) else math.inf
+
+
+class _Minimum(NamedTuple):
+    """A polish run's outcome: the fields of scipy's ``OptimizeResult`` that a fit reads."""
+
+    x: float | list[float]
+    fun: float
+    nfev: int
+    success: bool
+    message: str
+
+
+class _Spent(Exception):
+    """A Nelder-Mead run has used its evaluation budget."""
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``np.clip`` against array bounds, on a float: a bound equal to ``v`` wins, nan stays."""
+    v = lo if v <= lo else v
+    return hi if v >= hi else v
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in ``np.argsort`` order of the values.  That sort is
+    not stable (its SIMD kernels may swap tied values), so it is called here as
+    scipy calls it, never replaced by ``sorted``."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(func, simplex, bounds, xatol: float, fatol: float, maxfev: int, maxiter: int) -> _Minimum:
+    """Bounded Nelder-Mead (Nelder & Mead, *Computer Journal* 1965) on lists of floats.
+
+    Step for step the ``_minimize_neldermead`` of scipy 1.17, as scipy's
+    ``minimize(func, x0, method="Nelder-Mead", bounds=bounds)`` runs it with
+    ``initial_simplex``, ``xatol``, ``fatol``, ``maxfev`` and ``maxiter``
+    set: the initial simplex is reflected at the upper bounds and clipped,
+    every trial point is clipped, the centroid is summed in row order, and
+    the vertices are sorted by ``np.argsort`` of their values.  So ``x``,
+    ``fun``, ``nfev``, ``success`` and ``message`` are those of scipy.
+    ``func`` takes a list of floats and returns a float.
+    """
+    lower, upper = zip(*bounds)
+    n = len(lower)
+    sim = [[_clip(2.0 * hi - v if v > hi else v, lo, hi) for v, lo, hi in zip(row, lower, upper)] for row in simplex]
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return func(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Spent:
+        pass
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice here
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            best, fbest = sim[0], fsim[0]
+            if all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)) and all(
+                abs(fbest - fv) <= fatol for fv in fsim[1:]
+            ):
+                break
+            m = sim[0]
+            for row in sim[1:-1]:  # the centroid of all but the worst, summed row by row
+                m = [a + b for a, b in zip(m, row)]
+            m = [a / n for a in m]
+
+            def trial(km, kw):
+                """The clipped point ``km * centroid + kw * worst``."""
+                return [_clip(km * a + kw * b, lo, hi) for a, b, lo, hi in zip(m, sim[-1], lower, upper)]
+
+            xr = trial(2.0, -1.0)  # reflection
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = trial(3.0, -2.0)  # expansion
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = trial(1.5, -0.5) if outside else trial(0.5, 0.5)  # contraction
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = [_clip(b + 0.5 * (v - b), lo, hi) for v, b, lo, hi in zip(sim[j], best, lower, upper)]
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _Spent:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    if nfev >= maxfev:
+        message = "Maximum number of function evaluations has been exceeded."
+    elif iterations >= maxiter:
+        message = "Maximum number of iterations has been exceeded."
+    else:
+        message = "Optimization terminated successfully."
+    return _Minimum(sim[0], float(np.min(fsim)), nfev, nfev < maxfev and iterations < maxiter, message)
+
+
+def _brent(func, lo: float, hi: float, xatol: float, maxiter: int = 500) -> _Minimum:
+    """Bounded Brent minimisation (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973) on floats: step for step the ``_minimize_scalar_bounded``
+    of scipy 1.17, as scipy's ``minimize_scalar(func, bounds=(lo, hi),
+    method="bounded")`` runs it, so ``x``, ``fun``, ``nfev``, ``success`` and
+    ``message`` are those of scipy."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num, flag, fu = 1, 0, math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            flag = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        flag = 2
+    message = ("Solution found.", "Maximum number of function calls reached.", "NaN result encountered.")[flag]
+    return _Minimum(xf, fx, num, flag == 0, message)
+
+
+def _grid_polish(cls, deltas, empirical, s0, bounds, box):
+    """Minimise the variable-projection objective of :func:`_project` over
+    shape coordinates.
 
     The objective is evaluated on a grid spanning the box, a block of rows
     per call, on profile rows that :func:`_grid_blocks` computes once per
@@ -388,7 +573,7 @@ def _grid_polish(cls, deltas, score, bounds, box):
     for _ in range(2):
         axes = [np.linspace(lo, hi, points) for lo, hi in box]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        values = np.concatenate([score(g) for g in _grid_blocks(cls, deltas, grid)])
+        values = np.concatenate([_project(g, empirical, s0)[2] for g in _grid_blocks(cls, deltas, grid)])
         size += values.size
         i = int(np.argmin(values))
         where = np.unravel_index(i, (points,) * dim)
@@ -402,42 +587,42 @@ def _grid_polish(cls, deltas, score, bounds, box):
             break
         box = pushed
     value, axes, where = best
-    x, fun = np.array([axis[k] for axis, k in zip(axes, where)]), value
+    x, fun = [float(axis[k]) for axis, k in zip(axes, where)], value
 
-    def objective(theta: np.ndarray) -> np.ndarray:
-        return score(_profile(cls, deltas, theta[None]))[0]
+    def objective(theta) -> float:
+        return _project_row(cls._increment(deltas, *_one_shape(cls, theta)) / deltas, empirical, s0)[2]
 
     if dim == 1:
         axis, k = axes[0], where[0]
-        bracket = (axis[max(k - 1, 0)], axis[min(k + 1, points - 1)])
-        res = optimize.minimize_scalar(
-            lambda t: objective(np.array([t])), bounds=bracket, method="bounded", options={"xatol": 1e-10}
-        )
+        bracket = (float(axis[max(k - 1, 0)]), float(axis[min(k + 1, points - 1)]))
+        res = _brent(lambda t: objective((t,)), *bracket, xatol=1e-10)
+        runs = [res]
         if res.fun < fun:
-            x, fun = np.array([res.x]), res.fun
+            x, fun = [res.x], res.fun
         name = "brent"
     else:
         # each run's first simplex spans one grid cell, inside the bounds; a
         # fresh one gets a run unstuck that collapsed against a bound or in
         # a curved valley.  fatol must sit above the objective's rounding
         # noise (~1e-16 relative) or the spread criterion is unreachable.
-        cell = np.array([axis[1] - axis[0] for axis in axes])
-        upper = np.array([hi for _, hi in bounds])
+        cell = [float(axis[1] - axis[0]) for axis in axes]
         budget = _POLISH_MAXFEV // _POLISH_RUNS
+        runs = []
         for _ in range(_POLISH_RUNS):
-            simplex = np.vstack([x, x + np.diag(np.where(x + cell > upper, -cell, cell))])
-            options = {"initial_simplex": simplex, "xatol": 1e-11, "fatol": max(1e-24, 1e-12 * fun),
-                       "maxfev": budget, "maxiter": budget}
-            res = optimize.minimize(objective, x, method="Nelder-Mead", bounds=bounds, options=options)
+            steps = [-d if v + d > hi else d for v, d, (_, hi) in zip(x, cell, bounds)]
+            simplex = [x] + [[v + (d if j == i else 0.0) for j, (v, d) in enumerate(zip(x, steps))] for i in range(dim)]
+            res = _nelder_mead(objective, simplex, bounds, 1e-11, max(1e-24, 1e-12 * fun), budget, budget)
+            runs.append(res)
             if not res.fun < fun:
                 break
             x, fun = res.x, res.fun
         name = "nelder-mead"
     diagnostics = {
-        "search": f"grid+{name}", "kept": name if fun < value else "grid", "message": str(res.message),
+        "search": f"grid+{name}", "kept": name if fun < value else "grid", "message": res.message,
         "grid_size": size, "grid_objective": float(value),
+        "nfev": size + sum(r.nfev for r in runs),  # a cached grid row is one evaluation, as a computed one is
     }
-    return x, bool(res.success), diagnostics
+    return x, res.success, diagnostics
 
 
 def fit_signature(
@@ -488,19 +673,12 @@ def fit_signature(
     deltas = stats.deltas
     empirical = stats.variances / deltas
     s0 = stats.second_moment_rate()
-    nfev = 0
-
-    def score(g: np.ndarray) -> np.ndarray:
-        nonlocal nfev
-        nfev += len(g)  # a cached grid row is one evaluation, as a computed one is
-        return _project(g, empirical, s0)[2]
-
     # the grid and both polishes stay within the hard bounds
     with np.errstate(all="ignore"):  # rejected or extreme shapes score inf
-        theta, converged, diagnostics = _grid_polish(cls, deltas, score, bounds, box)
-    shape = cls.from_params({key: f[0, 0] for key, f in zip(cls.coords, _shape_fields(cls, theta[None]))})
-    cs, residuals, values = _project(_profile(cls, deltas, theta[None]), empirical, s0)
-    c, value = float(cs[0]), float(values[0])
+        theta, converged, diagnostics = _grid_polish(cls, deltas, empirical, s0, bounds, box)
+    fields = _one_shape(cls, theta)
+    shape = cls.from_params(dict(zip(cls.coords, fields)))
+    c, residuals, value = _project_row(cls._increment(deltas, *fields) / deltas, empirical, s0)
     b = min(max(2.0 * c / (1.0 + c), _B_BOUNDS[0]), _B_BOUNDS[1])
     flags = []
     for name, xi, (blo, bhi) in zip(("b", *cls.coords), (b, *theta), [_B_BOUNDS, *bounds]):
@@ -514,10 +692,10 @@ def fit_signature(
         objective=value,
         deltas=deltas.copy(),
         empirical=empirical,
-        fitted=empirical - residuals[0],
+        fitted=empirical - residuals,
         converged=converged and math.isfinite(value),
         boundary_flags=tuple(flags),
-        diagnostics={**diagnostics, "nfev": nfev},
+        diagnostics=diagnostics,
     )
 
 
@@ -611,7 +789,8 @@ def bootstrap(
     if n_workers is not None and n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel bootstrap needs it
 
-        optimize.minimize, sps.kve  # import scipy once, before the workers fork, not in each of them
+        if "sup-gig" in (family, params.trawl.family.name):
+            sps.kve  # import scipy.special once, before the workers fork, not in each of them
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             raw = list(pool.map(_bootstrap_one, jobs, chunksize=max(1, n_paths // (4 * n_workers))))
     else:

@@ -48,8 +48,8 @@ class _LazyModule(types.ModuleType):
 
     That read copies the module's namespace in and turns the stand-in into a
     plain module, so later reads cost what any module attribute costs.  Only
-    the sup-GIG kernels, ``bessel_k`` and the fits need scipy, and importing it
-    takes most of a fresh ``import trawlprice``.
+    the sup-GIG kernels and ``bessel_k`` need scipy, and importing it takes
+    most of a fresh ``import trawlprice``.
     """
 
     def __getattr__(self, attr):
@@ -221,7 +221,11 @@ class TrawlFamily(ABC):
     untouched or by a mixture draw from ``rng``.  A parametric family
     writes ``_increment`` as a static method that broadcasts over arrays
     of its fields and gives nan for shapes the constructor rejects: the
-    signature fit calls it on a whole grid of shapes at once.
+    signature fit calls it on a whole grid of shapes at once.  One shape's
+    fields may also be plain floats, as in each polish step of the fit and
+    in the public methods; the kernel then gives the same bits as with
+    ``(1, 1)`` arrays of those fields (``x * x`` and ``np.power``, never
+    ``x**2`` or ``2.0 ** x``, whose float and array forms round apart).
     """
 
     name: str = "abstract"
@@ -466,9 +470,9 @@ class SupGigTrawl(TrawlFamily):
         """``(w/z)^(shift-order) K_(order-shift)(w) / K_order(z)``, ``z = gamma*delta``,
         ``w = delta*sqrt(gamma^2 + 2t)``: the profile at lag ``-t`` (shift 0) or the overlap over
         ``gamma/delta`` (shift 1), never subtracting ``z`` from ``w`` (13 digits lost at z ~ 1700)."""
-        root = np.sqrt(gamma**2 + 2.0 * t)
+        root = np.sqrt(gamma * gamma + 2.0 * t)
         w_minus_z = 2.0 * delta_gig * t / (root + gamma)
-        log_ratio = 0.5 * np.log1p(2.0 * t / gamma**2)
+        log_ratio = 0.5 * np.log1p(2.0 * t / (gamma * gamma))
         kve_ratio = sps.kve(order - shift, delta_gig * root) / sps.kve(order, gamma * delta_gig)
         return np.exp((shift - order) * log_ratio - w_minus_z) * kve_ratio
 
@@ -479,7 +483,7 @@ class SupGigTrawl(TrawlFamily):
             return _branch(
                 gamma > 0.0,
                 lambda: gamma / delta_gig * sps.kve(order - 1.0, z) / sps.kve(order, z),
-                lambda: -2.0 * order / delta_gig**2,
+                lambda: -2.0 * order / (delta_gig * delta_gig),
             )
 
     @classmethod
@@ -492,7 +496,7 @@ class SupGigTrawl(TrawlFamily):
         def heavy():
             w = delta_gig * np.sqrt(2.0 * t)
             k = sps.kve(1.0 + a, w)
-            val = (2.0 ** (1.0 - a) / sps.gamma(a)) / delta_gig**2 * w ** (1.0 + a) * k * np.exp(-w)
+            val = (np.power(2.0, 1.0 - a) / sps.gamma(a)) / (delta_gig * delta_gig) * w ** (1.0 + a) * k * np.exp(-w)
             # as in _d_tilde: where kve overflows (w -> 0) the overlap is the area
             return np.where(np.isinf(k), cls._area(gamma, delta_gig, order), val)
 
@@ -502,6 +506,8 @@ class SupGigTrawl(TrawlFamily):
     @classmethod
     def _increment(cls, t, gamma, delta_gig, order):
         rejected = (gamma < 0.0) | (delta_gig <= 0.0) | ((gamma == 0.0) & (order >= 0.0))
+        if rejected is True:  # one rejected shape's float fields may divide by zero below
+            return np.full(np.shape(t), np.nan)
         return np.where(rejected, np.nan, cls._area(gamma, delta_gig, order) - cls._overlap(t, gamma, delta_gig, order))
 
     @classmethod
@@ -629,7 +635,10 @@ class TabulatedTrawl(TrawlFamily):
 
 def _branch(mask, if_true, if_false):
     """``np.where(mask, if_true(), if_false())``, calling only the branches
-    that some element of ``mask`` takes."""
+    that some element of ``mask`` takes; a plain bool (one shape's float
+    fields) calls its one branch."""
+    if isinstance(mask, bool):
+        return if_true() if mask else if_false()
     if np.all(mask):
         return if_true()
     if not np.any(mask):

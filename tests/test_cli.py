@@ -633,6 +633,38 @@ class TestExitCodes:
             "trawlprice bootstrap: missing required option(s): --n-paths, --seed, --output\n"
         )
 
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, defaults) in cli._COMMANDS.items()
+        for key, default in defaults.items() if default is not None and default is not cli._REQUIRED
+    ])
+    def test_config_null_for_an_option_with_a_default_is_data_error(self, tmp_path, capsys, command, key):
+        # null is "no value" where None is the default and "missing" for a
+        # required option; any other option once took None into the library
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        assert main([command, "--config", str(cfg)]) == 2
+        kind = cli._FLAG_TYPES.get(key, str).__name__
+        assert capsys.readouterr().err == f"trawlprice {command}: config {cfg} key {key!r}: None is not a valid {kind}\n"
+
+    @pytest.mark.parametrize("command, loaded, flags", [
+        ("simulate", {"t_start": None}, ["--t-end", "10", "--v0", "0", "--seed", "1"]),
+        ("bootstrap", {"grid_min": None}, ["--span", "100", "--v0", "0", "--n-paths", "2", "--seed", "1"]),
+    ], ids=["simulate-t_start", "bootstrap-grid_min"])
+    def test_config_null_run_exits_two_without_traceback(self, tmp_path, params_file, capsys, command, loaded, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--params", params_file, *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("None is not a valid float\n")
+        assert not out.exists()
+
+    def test_config_null_keeps_none_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for argv, key in ((["pmf", "--params", "p", "--t", "1"], "n_points"), (["fit", "--input", "i"], "sidecar")):
+            cfg.write_text(json.dumps({key: None}))
+            args = cli._build_parser().parse_args([*argv, "--config", str(cfg), "--output", "o"])
+            assert cli._resolve_config(args, cli._COMMANDS[argv[0]][1])[key] is None
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus", "1"])

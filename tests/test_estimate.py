@@ -542,16 +542,15 @@ class TestFitSignature:
         # a polish that ends worse than the best grid point is discarded:
         # the grid point is kept, while converged and the message still
         # come from the polish
-        real = optimize.minimize
+        real = estimate._nelder_mead
         calls = []
 
-        def failing_polish(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
+        def failing_polish(*args):
+            res = real(*args)
             calls.append(res)
-            res.fun, res.success, res.message = res.fun + 1.0, False, "polish failed"
-            return res
+            return res._replace(fun=res.fun + 1.0, success=False, message="polish failed")
 
-        monkeypatch.setattr(estimate.optimize, "minimize", failing_polish)
+        monkeypatch.setattr(estimate, "_nelder_mead", failing_polish)
         fit = fit_signature(_theoretical_stats(base_params), family="sup-gamma")
         assert len(calls) == 1
         assert fit.diagnostics["kept"] == "grid"
@@ -640,15 +639,134 @@ class TestProjection:
         i = list(rows).index(name)
         with np.errstate(all="ignore"):
             stacked = estimate._project(stack, empirical, s0)
-            one = estimate._project(stack[i : i + 1], empirical, s0)
-        for got, want in zip(one, stacked):
-            assert got.shape == want[i : i + 1].shape
-            assert got.tobytes() == want[i : i + 1].tobytes()
-        c, value = one[0][0], one[2][0]
+            c, r, value = estimate._project_row(stack[i], empirical, s0)
+        assert type(c) is float and type(value) is float and r.shape == stack[i].shape
+        for got, want in zip((c, r, value), stacked):
+            assert np.asarray(got).tobytes() == want[i].tobytes()
         expected_c = {"unit": 1.0, "nan": 1.0, "clips-low": estimate._C_BOUNDS[0], "clips-high": estimate._C_BOUNDS[1]}
         if name in expected_c:
             assert c == expected_c[name]
         assert math.isinf(value) == (name in ("nan", "inf"))
+
+
+def _both_ways(fn, simplex, bounds, **options):
+    """scipy's bounded Nelder-Mead and ``estimate._nelder_mead`` on one problem."""
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxfev": 5000, "maxiter": 5000, **options}
+    ref = optimize.minimize(fn, simplex[0], method="Nelder-Mead", bounds=bounds,
+                            options={"initial_simplex": np.array(simplex), **options})
+    got = estimate._nelder_mead(fn, simplex, bounds, options["xatol"], options["fatol"], options["maxfev"],
+                                options["maxiter"])
+    return ref, got
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] * x[0]) ** 2 + (1.0 - x[0]) ** 2
+
+
+def _walled_bowl(x):
+    # inf beyond a wall, as the fit scores a shape whose profile is not finite
+    return math.inf if x[0] + x[1] > 1.5 else sum((v - 0.3 * k) ** 2 for k, v in enumerate(x))
+
+
+def _plateau(x):
+    # exactly 0 on a box, so vertices tie at finite values too
+    return sum(max(abs(v) - 0.5, 0.0) ** 2 for v in x)
+
+
+class TestOptimisers:
+    """The in-package optimisers take scipy 1.17's steps: the same bits,
+    evaluation counts and messages as ``scipy.optimize``."""
+
+    @pytest.mark.parametrize("fn, simplex, bounds, options", [
+        (_rosenbrock, [[-1.0, 1.5], [-0.9, 1.5], [-1.0, 1.6]], [(-2.0, 2.0), (-1.0, 3.0)], {}),
+        # a vertex past the upper bound is reflected inside, then clipped
+        (_rosenbrock, [[0.5, 0.5], [1.2, 0.5], [0.5, 0.6]], [(-2.0, 1.0), (-2.0, 2.0)], {}),
+        # two tied inf vertices; on four values np.argsort puts them in the
+        # other order than a stable sort would, so another one is reflected
+        (_walled_bowl, [[0.1, 0.1], [1.0, 1.0], [1.2, 0.9]], [(-2.0, 2.0), (-2.0, 2.0)], {}),
+        (_walled_bowl, [[1.0, 1.0, 0.0], [1.3, 0.9, 0.0], [0.0, 0.1, 0.2], [0.0, 0.2, 0.9]],
+         [(-2.0, 2.0)] * 3, {}),
+        # stops on the evaluation budget, and on the iteration budget
+        (_rosenbrock, [[-1.0, 1.5], [-0.9, 1.5], [-1.0, 1.6]], [(-2.0, 2.0), (-1.0, 3.0)], {"maxfev": 57}),
+        (lambda x: _rosenbrock(x) + (x[2] - 0.5) ** 2, [[-1.0, 1.5, 0.0], [-0.9, 1.5, 0.0], [-1.0, 1.6, 0.0],
+         [-1.0, 1.5, 0.1]], [(-2.0, 2.0)] * 3, {"maxfev": 80}),
+        (_rosenbrock, [[-1.0, 1.5], [-0.9, 1.5], [-1.0, 1.6]], [(-2.0, 2.0), (-1.0, 3.0)], {"maxiter": 30}),
+        # two pairs of tied finite values, sorted as np.argsort sorts them
+        (_plateau, [[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [(-2.0, 2.0)] * 3, {}),
+        (_plateau, [[1.5, -1.5, 0.0], [1.6, -1.5, 0.0], [1.5, -1.4, 0.0], [1.5, -1.5, 0.1]],
+         [(0.0, 2.0), (-2.0, 2.0), (0.0, 2.0)], {}),
+        # optima on a bound; a bound of -0.0 replaces an equal 0.0, as np.clip does
+        (lambda x: (x[0] + 1.0) ** 2 + (x[1] - 3.0) ** 2, [[0.5, 0.5], [0.6, 0.5], [0.5, 0.6]],
+         [(0.0, 1.0), (0.0, 1.0)], {}),
+        (lambda x: (x[0] + 1.0) ** 2 + (x[1] - 0.5) ** 2, [[0.0, 0.5], [0.1, 0.5], [0.0, 0.6]],
+         [(-0.0, 1.0), (0.0, 1.0)], {}),
+    ], ids=["rosenbrock-2d", "vertex-past-upper-bound", "tied-inf-2d", "tied-inf-3d", "maxfev-2d", "maxfev-3d",
+            "maxiter", "tied-pairs-3d", "plateau-3d", "corner-optimum", "signed-zero-bound"])
+    def test_nelder_mead_matches_scipy(self, fn, simplex, bounds, options):
+        ref, got = _both_ways(fn, simplex, bounds, **options)
+        assert np.asarray(got.x, dtype=float).tobytes() == ref.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert (got.nfev, got.success, got.message) == (ref.nfev, ref.success, ref.message)
+
+    def test_nelder_mead_stop_reasons_are_all_covered(self):
+        # the cases above reach each of scipy's three messages
+        messages = {_both_ways(_rosenbrock, [[-1.0, 1.5], [-0.9, 1.5], [-1.0, 1.6]], [(-2.0, 2.0), (-1.0, 3.0)],
+                               **options)[1].message for options in ({}, {"maxfev": 57}, {"maxiter": 30})}
+        assert messages == {"Optimization terminated successfully.",
+                            "Maximum number of function evaluations has been exceeded.",
+                            "Maximum number of iterations has been exceeded."}
+
+    @pytest.mark.parametrize("fn, bracket, options", [
+        (lambda t: (t - 0.3) ** 2 + 0.1 * math.sin(5.0 * t), (-1.0, 2.0), {"xatol": 1e-10}),
+        (lambda t: math.exp(t) - 2.0 * t, (0.0, 3.0), {"xatol": 1e-10}),
+        (lambda t: abs(t - 1.0), (0.0, 1.0), {"xatol": 1e-10}),  # optimum on the bound
+        (lambda t: max(abs(t) - 0.5, 0.0), (-2.0, 1.0), {"xatol": 1e-10}),  # a flat bottom
+        (lambda t: (t - 0.3) ** 2, (-1.0, 2.0), {"xatol": 1e-12, "maxiter": 6}),  # the call budget
+        (lambda t: math.nan if t > 0.5 else (t - 0.3) ** 2, (-1.0, 2.0), {"xatol": 1e-10}),
+    ], ids=["smooth", "convex", "bound", "flat", "maxiter", "nan"])
+    def test_brent_matches_scipy(self, fn, bracket, options):
+        ref = optimize.minimize_scalar(fn, bounds=bracket, method="bounded", options=options)
+        got = estimate._brent(fn, *bracket, **options)
+        assert np.float64(got.x).tobytes() == np.float64(ref.x).tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert (got.nfev, got.success, got.message) == (ref.nfev, ref.success, ref.message)
+
+    @pytest.mark.parametrize("family", ["exponential", "sup-gamma", "sup-gig"])
+    def test_fit_polish_matches_scipy(self, base_params, family):
+        # the polish of a real fit, rerun through scipy from the same start
+        stats = collect_stats(simulate_path(base_params, 0.0, 20000.0, 0, 4))
+        cls = estimate._family_class(family)
+        deltas, empirical, s0 = stats.deltas, stats.variances / stats.deltas, stats.second_moment_rate()
+        seen = []
+        real = estimate._brent if family == "exponential" else estimate._nelder_mead
+
+        def recording(*args, **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimate, real.__name__, recording)
+            fit_signature(stats, family=family)
+
+        def objective(theta):
+            row = cls._increment(deltas, *estimate._one_shape(cls, theta)) / deltas
+            return estimate._project_row(row, empirical, s0)[2]
+
+        assert seen
+        with np.errstate(all="ignore"):
+            for args, kwargs in seen:
+                got = real(*args, **kwargs)
+                if family == "exponential":
+                    _, lo, hi = args
+                    ref = optimize.minimize_scalar(lambda t: objective([t]), bounds=(lo, hi), method="bounded",
+                                                   options={"xatol": kwargs["xatol"]})
+                else:
+                    _, simplex, bounds, xatol, fatol, maxfev, maxiter = args
+                    ref = optimize.minimize(objective, simplex[0], method="Nelder-Mead", bounds=bounds, options={
+                        "initial_simplex": np.array(simplex), "xatol": xatol, "fatol": fatol, "maxfev": maxfev,
+                        "maxiter": maxiter})
+                assert np.asarray(got.x, dtype=float).tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+                assert (got.fun, got.nfev, got.success, got.message) == (ref.fun, ref.nfev, ref.success, ref.message)
 
 
 def _shaped(shape) -> ModelParams:
@@ -951,9 +1069,11 @@ class TestNonparametricTrawl:
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path, base_params):
-    # `import trawlprice` loads numpy only.  scipy.special and scipy.optimize
-    # load on first use (sup-GIG kernels, bessel_k, the fits); scipy.stats,
-    # about half a second more, only for a sup-GIG simulation with gamma > 0
+    # `import trawlprice` loads numpy only, and so do exponential and
+    # sup-gamma fits and bootstraps: the fit's optimisers are in the package.
+    # scipy.special loads on first use (sup-GIG kernels, bessel_k);
+    # scipy.stats, about half a second more, only for a sup-GIG simulation
+    # with gamma > 0
     src = str(Path(trawlprice.__file__).parents[1])
     raw = str(Path(__file__).parent / "data" / "raw_ticks.csv")
     params = tmp_path / "params.json"
@@ -977,13 +1097,24 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, base_params):
             f"argv = ['simulate', '--params', {str(params)!r}, '--t-end', '1000', '--v0', '0', '--seed', '1', "
             f"'--output', {str(tmp_path / 'path.csv')!r}]; assert tp.main(argv) == 0; " + numpy_only
         ),
+        "exponential and sup-gamma fits": (
+            "stats = tp.collect_stats(tp.simulate_path(p, 0.0, 1000.0, 0, 1)); "
+            "assert tp.fit_signature(stats, 'exponential').converged; "
+            "assert tp.fit_signature(stats, 'sup-gamma').diagnostics['search'] == 'grid+nelder-mead'; "
+            + numpy_only
+        ),
+        "exponential bootstrap, serial and parallel": (
+            "serial = tp.bootstrap(p, 300.0, 0, 2, seed=1); "
+            "parallel = tp.bootstrap(p, 300.0, 0, 2, seed=1, n_workers=2); "
+            "assert serial.estimates.tobytes() == parallel.estimates.tobytes(); "
+            "assert not scipy(), scipy(); "
+        ),
         "first use": (
             "tp.SupGigTrawl(gamma=1.0, delta_gig=0.05, order=1.6).increment(tp.DEFAULT_GRID); "
-            "tp.fit_signature(tp.collect_stats(tp.simulate_path(p, 0.0, 1000.0, 0, 1)), 'exponential'); "
-            "import scipy.optimize, scipy.special; "
-            "assert sys.modules['trawlprice.model'].sps.kve is scipy.special.kve; "
-            "assert sys.modules['trawlprice.estimate'].optimize.minimize is scipy.optimize.minimize; "
-            "assert 'scipy.stats' not in sys.modules; "
+            "tp.fit_signature(tp.collect_stats(tp.simulate_path(p, 0.0, 1000.0, 0, 1)), 'sup-gig'); "
+            "import scipy.special as special; "
+            "assert sys.modules['trawlprice.model'].sps.kve is special.kve; "
+            "assert not [m for m in scipy() if m.startswith(('scipy.optimize', 'scipy.stats'))], scipy(); "
         ),
     }
     for what, body in bodies.items():

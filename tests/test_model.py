@@ -571,6 +571,47 @@ class TestFamilyRegistry:
         for row, shape in zip(grid, self._SHAPES[name]):
             assert row.tobytes() == np.asarray(cls(*shape).increment(t)).tobytes(), shape
 
+    # corners: H = 1; the gamma = 0 branch, at integer and half orders too,
+    # where a float power may take numpy's square or square-root path; the
+    # bounds; and, last for sup-gig, shapes the constructor rejects
+    _CORNERS = {
+        "exponential": [(1e-5,), (1e5,)],
+        "sup-gamma": [(1e-5, 1.0), (0.5, 1.0), (1e5, 1.0), (1e-5, 50.0), (1e5, 50.0)],
+        "sup-gig": [(0.0, 0.3, -o) for o in (0.5, 1.0, 1.5, 2.0, 3.0, 10.0)]
+        + [(0.0, 1e-5, -10.0), (50.0, 1e5, 10.0), (50.0, 1e-5, -10.0)]
+        + [(0.0, 0.3, 0.0), (0.0, 0.3, 1.5), (-1.0, 0.3, 1.0), (1.0, 0.0, 1.0), (0.0, 0.0, -1.0)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(_CORNERS))
+    def test_float_fields_give_the_bits_of_one_by_one_fields(self, name):
+        # each polish step of the fit calls the kernel on one shape's fields
+        # as floats, and the grid on (rows, 1) columns of them: a shape must
+        # score the same either way.  Seeded shapes lie inside the bounds
+        # (log coordinates drawn on log scale); a third of the sup-gig draws
+        # sit on the gamma = 0 branch.
+        cls = _FAMILIES[name]
+        rng = np.random.default_rng(25)
+        shapes = []
+        for _ in range(200):
+            shape = [math.exp(rng.uniform(*map(math.log, c.bounds))) if c.log else rng.uniform(*c.bounds)
+                     for c in cls.coords.values()]
+            if name == "sup-gig" and rng.random() < 1 / 3:
+                shape[0], shape[2] = 0.0, -shape[2] if shape[2] > 0.0 else shape[2]
+            shapes.append(tuple(shape))
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 70)])
+        for shape in shapes + self._CORNERS[name]:
+            with np.errstate(all="ignore"):
+                floats = cls._increment(t, *map(float, shape))
+                arrays = cls._increment(t, *(np.array([[f]]) for f in shape))
+            assert floats.shape == t.shape and arrays.shape == (1, t.size)
+            assert np.array_equal(floats, arrays[0], equal_nan=True), shape
+            try:
+                cls(*shape)
+            except ValueError:
+                assert np.isnan(floats).all(), shape
+            else:
+                assert not np.isnan(floats).all(), shape
+
     @pytest.mark.parametrize(
         "name,rejected",
         [
