@@ -339,6 +339,8 @@ class ExponentialTrawl(TrawlFamily):
 
     @staticmethod
     def _increment(t, lam):
+        if isinstance(lam, float) and 0.0 < lam < math.inf:  # one valid shape: no mask to apply
+            return -np.expm1(-lam * t) / lam
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(lam > 0.0, -np.expm1(-lam * t) / lam, np.nan)
 
@@ -391,6 +393,9 @@ class SupGammaTrawl(TrawlFamily):
 
     @staticmethod
     def _increment(t, alpha, H):
+        if isinstance(alpha, float) and isinstance(H, float) and 0.0 < alpha < math.inf and 1.0 <= H < math.inf:
+            u = np.log1p(t / alpha)  # one valid shape: the branch below taken as a float test
+            return alpha * u if H == 1.0 else -alpha * np.expm1((1.0 - H) * u) / (H - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.log1p(t / alpha)
             # alpha * (1 - (1+t/alpha)^(1-H)) / (H-1), written to stay smooth as H -> 1
@@ -429,7 +434,10 @@ class SupGigTrawl(TrawlFamily):
     (Barndorff-Nielsen, Lunde, Shephard & Veraart, *Integer-valued trawl
     processes*, 2014).  A residual lifetime is the same with ``lam`` drawn
     from the 1/lam size-biased law, GIG of order ``order - 1``.  The
-    sampling pair draws these mixtures.
+    sampling pair draws these mixtures; for ``gamma > 0`` its GIG draws are
+    those of Hoermann & Leydold, *Generating generalized inverse Gaussian
+    random variates* (Statistics and Computing, 2014), by scipy 1.17.1's
+    steps (:func:`_gig_rvs`).
     """
 
     gamma: float
@@ -466,14 +474,17 @@ class SupGigTrawl(TrawlFamily):
         return np.where(np.isinf(k), 1.0, np.minimum(val, 1.0))
 
     @staticmethod
-    def _bessel_ratio(t, gamma, delta_gig, order, shift):
+    def _bessel_ratio(t, gamma, delta_gig, order, shift, kve_z=None):
         """``(w/z)^(shift-order) K_(order-shift)(w) / K_order(z)``, ``z = gamma*delta``,
         ``w = delta*sqrt(gamma^2 + 2t)``: the profile at lag ``-t`` (shift 0) or the overlap over
-        ``gamma/delta`` (shift 1), never subtracting ``z`` from ``w`` (13 digits lost at z ~ 1700)."""
+        ``gamma/delta`` (shift 1), never subtracting ``z`` from ``w`` (13 digits lost at z ~ 1700).
+        ``kve_z`` is ``kve(order, z)`` where the caller has it already."""
         root = np.sqrt(gamma * gamma + 2.0 * t)
         w_minus_z = 2.0 * delta_gig * t / (root + gamma)
         log_ratio = 0.5 * np.log1p(2.0 * t / (gamma * gamma))
-        kve_ratio = sps.kve(order - shift, delta_gig * root) / sps.kve(order, gamma * delta_gig)
+        if kve_z is None:
+            kve_z = sps.kve(order, gamma * delta_gig)
+        kve_ratio = sps.kve(order - shift, delta_gig * root) / kve_z
         return np.exp((shift - order) * log_ratio - w_minus_z) * kve_ratio
 
     @staticmethod
@@ -508,6 +519,12 @@ class SupGigTrawl(TrawlFamily):
         rejected = (gamma < 0.0) | (delta_gig <= 0.0) | ((gamma == 0.0) & (order >= 0.0))
         if rejected is True:  # one rejected shape's float fields may divide by zero below
             return np.full(np.shape(t), np.nan)
+        if rejected is False and gamma > 0.0:  # one mixed shape's float fields: kve(order, z) once
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = gamma * delta_gig
+                kve_z = sps.kve(order, z)
+                area = gamma / delta_gig * sps.kve(order - 1.0, z) / kve_z
+                return area - gamma / delta_gig * cls._bessel_ratio(t, gamma, delta_gig, order, 1.0, kve_z)
         return np.where(rejected, np.nan, cls._area(gamma, delta_gig, order) - cls._overlap(t, gamma, delta_gig, order))
 
     @classmethod
@@ -524,13 +541,16 @@ class SupGigTrawl(TrawlFamily):
 
         ``1/lam`` is GIG with the order negated and ``gamma``, ``delta_gig``
         swapped; at ``gamma = 0`` that is Gamma(-order) over ``delta_gig^2/2``.
-        Multiplying by the draw, never dividing, keeps a Gamma draw that
-        underflows to 0 a zero lifetime rather than a divide warning.
+        For ``gamma > 0``, :func:`_gig_rvs` draws it by the ratio-of-uniforms
+        and rejection methods of Hoermann & Leydold, *Generating generalized
+        inverse Gaussian random variates* (Statistics and Computing, 2014),
+        taking scipy 1.17.1's steps, so a seeded path is the one
+        ``scipy.stats.geninvgauss`` gives.  Multiplying by the draw, never
+        dividing, keeps a Gamma draw that underflows to 0 a zero lifetime
+        rather than a divide warning.
         """
         if gamma > 0.0:
-            from scipy.stats import geninvgauss  # slow to import, and only this branch needs it
-
-            return geninvgauss.rvs(-order, gamma * delta_gig, scale=gamma / delta_gig, size=shape, random_state=rng)
+            return _gig_rvs(-order, gamma * delta_gig, gamma / delta_gig, shape, rng)
         return rng.gamma(-order, size=shape) * (2.0 / delta_gig**2)
 
 
@@ -789,6 +809,131 @@ class ModelParams:
     def from_json(cls, path) -> "ModelParams":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# Generalised inverse Gaussian draws
+# ---------------------------------------------------------------------------
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _gig_rvs(p, b, scale, shape, rng):
+    """``scale`` times draws of the GIG law with density ``x^(p-1) exp(-b(x + 1/x)/2)``, shaped ``shape``.
+
+    The steps of scipy 1.17.1's ``geninvgauss.rvs(p, b, scale=scale,
+    size=shape, random_state=rng)`` (``rv_generic.rvs`` and
+    ``geninvgauss_gen._rvs_scalar``): the same numpy arithmetic, the same
+    uniforms taken from ``rng``, so the draws and the generator state after
+    them keep scipy's bits.  ``p < 0`` is drawn as ``1 / GIG(-p)``; then
+    Hoermann & Leydold (2014) choose ratio-of-uniforms with mode shift
+    (``p >= 1`` or ``b > 1``), without it (``b >= min(1/2, 2 sqrt(1-p)/3)``),
+    or rejection from a three-piece hat.  A float for ``shape == ()``.
+    """
+    p, b, scale = float(p), float(b), float(scale)
+    if not (p == p and b > 0 and scale >= 0):
+        raise ValueError(f"GIG draws need p not nan, b > 0 and scale >= 0, got p={p!r}, b={b!r}, scale={scale!r}")
+    if scale == 0:
+        return np.zeros(shape)
+    invert = p < 0
+    if invert:
+        p = -p
+    if p < 1:
+        m = b / (np.sqrt((p - 1)**2 + b**2) + 1 - p)
+    else:
+        m = (np.sqrt((1 - p)**2 + b**2) - (1 - p)) / b
+    size1d = shape or (1,)
+    N = math.prod(size1d)
+    x = np.zeros(N)
+    simulated = 0
+
+    if p >= 1 or b > 1 or b >= min(0.5, 2 * np.sqrt(1 - p) / 3):
+        if p >= 1 or b > 1:  # ratio of uniforms with mode shift
+            a2 = -2 * (p + 1) / b - m
+            a1 = 2 * m * (p - 1) / b - 1
+            # the roots of x**3 + a2*x**2 + a1*x + m (Cardano's formula)
+            p1 = a1 - a2**2 / 3
+            q1 = 2 * a2**3 / 27 - a2 * a1 / 3 + m
+            phi = np.arccos(-q1 * np.sqrt(-27 / p1**3) / 2)
+            s1 = -np.sqrt(-4 * p1 / 3)
+            root1 = s1 * np.cos(phi / 3 + np.pi / 3) - a2 / 3
+            root2 = -s1 * np.cos(phi / 3) - a2 / 3
+            # the quasi-density over its value at the mode, in logs
+            lm = _gig_logq(m, p, b)
+            vmin = (root1 - m) * np.exp(0.5 * (_gig_logq(root1, p, b) - lm))
+            vmax = (root2 - m) * np.exp(0.5 * (_gig_logq(root2, p, b) - lm))
+            umax, c = 1, m
+        else:  # ratio of uniforms without mode shift
+            umax = np.exp(0.5 * _gig_logq(m, p, b))
+            xplus = ((1 + p) + np.sqrt((1 + p)**2 + b**2)) / b
+            vmin, vmax = 0, xplus * np.exp(0.5 * _gig_logq(xplus, p, b))
+            lm = c = 0
+        if vmin >= vmax:
+            raise ValueError("vmin must be smaller than vmax.")
+        if umax <= 0:
+            raise ValueError("umax must be positive.")
+        i = 1
+        while simulated < N:
+            k = N - simulated
+            u = umax * rng.random(k)
+            v = vmin + (vmax - vmin) * rng.random(k)
+            rvs = v / u + c
+            accept = 2 * np.log(u) <= _gig_logq(rvs, p, b) - lm
+            num_accept = np.count_nonzero(accept)
+            if num_accept > 0:
+                x[simulated:simulated + num_accept] = rvs[accept]
+                simulated += num_accept
+            if simulated == 0 and i * N >= 50000:
+                raise RuntimeError(f"Not a single random variate could be generated in {i * N} attempts. "
+                                   "Sampling does not appear to work for the provided parameters.")
+            i += 1
+    else:  # Hoermann & Leydold's rejection from a three-piece hat
+        x0 = b / (1 - p)
+        xs = np.max((x0, 2 / b))
+        k1 = np.exp(_gig_logq(m, p, b))
+        A1 = k1 * x0
+        if x0 < 2 / b:
+            k2 = np.exp(-b)
+            A2 = k2 * ((2 / b)**p - x0**p) / p if p > 0 else k2 * np.log(2 / b**2)
+        else:
+            k2, A2 = 0, 0
+        k3 = xs**(p - 1)
+        A3 = 2 * k3 * np.exp(-xs * b / 2) / b
+        A = A1 + A2 + A3
+        while simulated < N:
+            k = N - simulated
+            h, rvs = np.zeros(k), np.zeros(k)
+            u = rng.random(k)
+            v = A * rng.random(k)
+            cond1 = v <= A1
+            cond2 = ~cond1 & (v <= A1 + A2)
+            cond3 = ~(cond1 | cond2)
+            rvs[cond1] = x0 * v[cond1] / A1
+            h[cond1] = k1
+            if p > 0:
+                rvs[cond2] = (x0**p + (v[cond2] - A1) * p / k2)**(1 / p)
+            else:
+                rvs[cond2] = b * np.exp((v[cond2] - A1) * np.exp(b))
+            h[cond2] = k2 * rvs[cond2]**(p - 1)
+            z = np.exp(-xs * b / 2) - b * (v[cond3] - A1 - A2) / (2 * k3)
+            rvs[cond3] = -2 / b * np.log(z)
+            h[cond3] = k3 * np.exp(-rvs[cond3] * b / 2)
+            accept = np.log(u * h) <= _gig_logq(rvs, p, b)
+            num_accept = np.count_nonzero(accept)
+            if num_accept > 0:
+                x[simulated:simulated + num_accept] = rvs[accept]
+                simulated += num_accept
+
+    draws = np.reshape(x, size1d)
+    if invert:
+        draws = 1 / draws
+    if shape == ():
+        draws = draws.item()
+    return draws * scale + 0
+
+
+def _gig_logq(x, p, b):
+    """Log of the GIG quasi-density ``x^(p-1) exp(-b(x + 1/x)/2)``, ``-inf`` off ``x > 0``."""
+    return np.where(x > 0, (p - 1) * np.log(x) - b * (x + 1 / x) / 2, -np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,16 @@ class TestExitCodes:
         assert err.startswith(f"trawlprice {command}: cannot load path from {path_csv}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "signature"])
+    def test_sidecar_without_v0_is_data_error(self, tmp_path, params_file, capsys, command):
+        path_csv = _simulate(tmp_path, params_file, t_end=2000.0)
+        Path(path_csv + ".meta.json").write_text('{"t_start": 0.0, "t_end": 2000.0, "seed": 1}')
+        capsys.readouterr()
+        assert main([command, "--input", path_csv, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.endswith("sidecar must hold a JSON object with numbers t_start, t_end and v0\n"), err
+
     def test_malformed_path_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1.0,2\n")

@@ -20,9 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import optimize
+from scipy.stats import geninvgauss
 
 import trawlprice
 import trawlprice.estimate as estimate
+from trawlprice.model import _gig_rvs
 
 from trawlprice import (
     DEFAULT_GRID,
@@ -769,6 +771,58 @@ class TestOptimisers:
                 assert (got.fun, got.nfev, got.success, got.message) == (ref.fun, ref.nfev, ref.success, ref.message)
 
 
+class TestGigSampler:
+    """The sup-GIG sampler takes scipy 1.17's ``geninvgauss.rvs`` steps: the
+    same draws, and the generator left in the same state."""
+
+    @staticmethod
+    def _both_ways(p, b, scale, size, seed):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = geninvgauss.rvs(p, b, scale=scale, size=size, random_state=ref_rng)
+        got = _gig_rvs(p, b, scale, size, rng)
+        assert np.shape(got) == np.shape(ref) and (size != () or isinstance(got, float))
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(ref, dtype=float).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p, b, scale", [
+        (1.6, 0.05, 20.0), (-1.6, 0.05, 20.0),  # mode shift: p >= 1; heavy-tail-mc's lifetimes
+        (0.3, 1.5, 2.0), (-5.0, 3.0, 0.1),  # mode shift: b > 1
+        (0.3, 0.6, 2.0), (-0.9, 0.45, 1.0),  # no mode shift: b >= min(1/2, 2 sqrt(1-p)/3)
+        (0.6, 0.05, 20.0), (-0.6, 0.05, 20.0),  # the three-piece hat; heavy-tail-mc's residuals
+        (0.0, 0.1, 3.0), (0.5, 1e-5, 1.0),  # the hat at p = 0, and at a tiny b
+    ], ids=["shift-p", "shift-p-inverted", "shift-b", "shift-b-inverted", "no-shift", "no-shift-inverted",
+            "hat", "hat-inverted", "hat-p-zero", "hat-tiny-b"])
+    def test_draws_and_state_match_scipy(self, p, b, scale):
+        for size in [(), (1,), (5,), (3, 4), (0,), (20000,)]:
+            for seed in range(3):
+                self._both_ways(p, b, scale, size, seed)
+
+    def test_scale_that_underflows_returns_zeros_without_drawing(self):
+        self._both_ways(-1.6, 0.05, 5e-324 / 1e5, (4,), 7)
+        rng = np.random.default_rng(7)
+        assert _gig_rvs(-1.6, 0.05, 0.0, (4,), rng).tolist() == [0.0] * 4
+        assert rng.random() == np.random.default_rng(7).random()
+
+    @pytest.mark.parametrize("p, b, scale", [(1.6, 0.0, 1.0), (1.6, -1.0, 1.0), (1.6, 0.5, -1.0), (math.nan, 0.5, 1.0)],
+                             ids=["b-zero", "b-negative", "scale-negative", "p-nan"])
+    def test_rejects_what_scipy_rejects(self, p, b, scale):
+        with pytest.raises(ValueError):
+            geninvgauss.rvs(p, b, scale=scale, size=3, random_state=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            _gig_rvs(p, b, scale, (3,), np.random.default_rng(0))
+
+    def test_family_draws_are_scipys(self):
+        # seeded sup-GIG lifetimes and residuals, as scipy's draws would make them
+        fam = SupGigTrawl(gamma=1.0, delta_gig=0.05, order=1.6)
+        levels = np.random.default_rng(1).random(50)
+        for kernel, level, clock, p in [(fam.sample_lifetimes, levels, -np.log1p(-levels), -1.6),
+                                        (fam.sample_residuals, 1.0 - levels, -np.log(1.0 - levels), -(1.6 - 1.0))]:
+            ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+            ref = clock * geninvgauss.rvs(p, 0.05, scale=20.0, size=(50,), random_state=ref_rng)
+            assert kernel(level, rng).tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def _shaped(shape) -> ModelParams:
     return ModelParams(levy=LevyMeasure(BASE_NU), trawl=TrawlSpec(b=BASE_B, family=shape))
 
@@ -1071,13 +1125,16 @@ class TestNonparametricTrawl:
 def test_import_leaves_scipy_stats_unloaded(tmp_path, base_params):
     # `import trawlprice` loads numpy only, and so do exponential and
     # sup-gamma fits and bootstraps: the fit's optimisers are in the package.
-    # scipy.special loads on first use (sup-GIG kernels, bessel_k);
-    # scipy.stats, about half a second more, only for a sup-GIG simulation
-    # with gamma > 0
+    # scipy.special loads on first use (sup-GIG kernels, bessel_k); no
+    # scipy.stats loads at all, a sup-GIG simulation with gamma > 0 included,
+    # since the GIG sampler is in the package too
     src = str(Path(trawlprice.__file__).parents[1])
     raw = str(Path(__file__).parent / "data" / "raw_ticks.csv")
     params = tmp_path / "params.json"
     base_params.to_json(params)
+    gig_params = tmp_path / "gig.json"
+    replace(base_params, trawl=TrawlSpec(b=BASE_B, family=SupGigTrawl(1.0, 0.05, 1.6))).to_json(gig_params)
+    no_stats = "assert not [m for m in scipy() if m.startswith(('scipy.optimize', 'scipy.stats'))], scipy(); "
     head = (
         f"import sys; sys.path.insert(0, {src!r}); import trawlprice as tp; "
         "scipy = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
@@ -1113,8 +1170,15 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, base_params):
             "tp.SupGigTrawl(gamma=1.0, delta_gig=0.05, order=1.6).increment(tp.DEFAULT_GRID); "
             "tp.fit_signature(tp.collect_stats(tp.simulate_path(p, 0.0, 1000.0, 0, 1)), 'sup-gig'); "
             "import scipy.special as special; "
-            "assert sys.modules['trawlprice.model'].sps.kve is special.kve; "
-            "assert not [m for m in scipy() if m.startswith(('scipy.optimize', 'scipy.stats'))], scipy(); "
+            "assert sys.modules['trawlprice.model'].sps.kve is special.kve; " + no_stats
+        ),
+        "sup-gig simulation with gamma > 0": (
+            "gig = tp.ModelParams(levy=p.levy, trawl=tp.TrawlSpec(b=0.4, family=tp.SupGigTrawl(1.0, 0.05, 1.6))); "
+            "assert tp.simulate_path(gig, 0.0, 1000.0, 0, 1).n_events > 0; " + no_stats
+        ),
+        "cli simulate, sup-gig with gamma > 0": (
+            f"argv = ['simulate', '--params', {str(gig_params)!r}, '--t-end', '1000', '--v0', '0', '--seed', '1', "
+            f"'--output', {str(tmp_path / 'gig.csv')!r}]; assert tp.main(argv) == 0; " + no_stats
         ),
     }
     for what, body in bodies.items():

@@ -471,6 +471,14 @@ class TestPathCsv:
         with pytest.raises(ValueError):
             read_path_csv(csv_file, meta)
 
+    def test_sidecar_without_v0_is_named(self, tmp_path):
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text("time,price_ticks\n1.0,3\n")
+        meta = tmp_path / "p.meta.json"
+        meta.write_text('{"t_start": 0.0, "t_end": 3.0, "seed": null}')
+        with pytest.raises(ValueError, match="numbers t_start, t_end and v0"):
+            read_path_csv(csv_file, meta)
+
     @pytest.mark.parametrize(("v0", "price"), [(-1, 2**63 - 1), (1, -(2**63))])
     def test_move_beyond_int64_is_an_error(self, tmp_path, v0, price):
         # int64 differences would wrap the move 2**63 to -2**63 and -(2**63 + 1) to 2**63 - 1
