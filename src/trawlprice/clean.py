@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import _real
 from .simulate import PricePath
 
 __all__ = ["RawTick", "RawColumns", "CleanConfig", "CleanResult", "clean_ticks", "read_raw_csv"]
@@ -101,10 +102,8 @@ class CleanConfig:
     apply_step1: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.tick_size) and self.tick_size > 0.0):
-            raise ValueError(f"tick_size must be finite and > 0, got {self.tick_size!r}")
-        if not (math.isfinite(self.m_factor) and self.m_factor > 0.0):
-            raise ValueError(f"m_factor must be finite and > 0, got {self.m_factor!r}")
+        object.__setattr__(self, "tick_size", _real(self.tick_size, "tick_size must be finite and > 0", above=0.0))
+        object.__setattr__(self, "m_factor", _real(self.m_factor, "m_factor must be finite and > 0", above=0.0))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import numbers
 import os
 import sys
 import tempfile
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__
 from .clean import CleanConfig, _fmt, clean_ticks, read_raw_csv
 from .estimate import DEFAULT_GRID, bootstrap, collect_stats, fit_signature, variance_grid
-from .model import ModelParams, _whole
+from .model import ModelParams, _number, _whole
 from .simulate import read_path_csv, simulate_path, write_path_csv
 from .theory import acf as theory_acf
 from .theory import return_cumulant, return_pmf
@@ -108,7 +107,7 @@ def _write_signature(path: str, deltas, empirical, fitted=None) -> None:
 def _load_params(path: str) -> ModelParams:
     try:
         return ModelParams.from_json(path)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load model parameters from {path}: {exc}") from exc
 
 
@@ -116,7 +115,7 @@ def _load_path(csv_file: str, sidecar: str | None):
     sidecar = sidecar or f"{csv_file}.meta.json"
     try:
         return read_path_csv(csv_file, sidecar)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load path from {csv_file} (+ {sidecar}): {exc}") from exc
 
 
@@ -358,7 +357,7 @@ def _option_value(kind: type, value, default):
     elif kind in (bool, str):
         if isinstance(value, kind):
             return value
-    elif isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+    elif isinstance(value, str) or _number(value) is not None:
         with contextlib.suppress(ValueError, OverflowError):
             return _whole(value, kind.__name__, text=True) if kind is int else kind(value)
     raise ValueError(f"{value!r} is not a valid {kind.__name__}")

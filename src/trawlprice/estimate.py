@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .model import (
-    LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _whole, sps,
+    LevyMeasure, ModelParams, TabulatedTrawl, TrawlFamily, TrawlSpec, _family_class, _real, _reals, _whole, sps,
 )
 from .simulate import PricePath, _running_move, _window_sums, realized_pv, simulate_path
 
@@ -125,11 +125,9 @@ def variance_grid(path: PricePath, deltas) -> tuple[np.ndarray, np.ndarray, np.n
     -------
     (deltas, variances, counts) : ndarrays
     """
-    d_arr = np.asarray(deltas, dtype=float)
+    d_arr = _reals(deltas, "window lengths must be finite and > 0", above=0.0)
     if d_arr.ndim != 1 or d_arr.size == 0:
         raise ValueError("need a nonempty 1-d array of window lengths")
-    if not np.all(np.isfinite(d_arr)) or np.any(d_arr <= 0.0):
-        raise ValueError("window lengths must be finite and > 0")
     if np.any(np.diff(d_arr) <= 0.0):
         raise ValueError("window lengths must be strictly increasing")
     rel, csum = _running_move(path)
@@ -177,15 +175,12 @@ def levy_from_moments(alpha: Mapping[int, float], beta0: float, b: float) -> Lev
     Sampling noise can push one side of a pair negative; it is then
     truncated to zero with the pair's total intensity preserved.
     """
-    b = float(b)
-    beta0 = float(beta0)
-    if not (0.0 < b <= 1.0):
-        raise ValueError(f"permanence parameter must lie in (0, 1], got {b!r}")
-    if not (math.isfinite(beta0) and beta0 > 0.0):
-        raise ValueError(f"event rate beta_0 must be finite and > 0, got {beta0!r}")
-    a = {_whole(y, "frequencies must be keyed by nonzero integer sizes"): float(p) for y, p in alpha.items()}
-    if any(p < 0.0 or not math.isfinite(p) for p in a.values()) or any(y == 0 for y in a):
-        raise ValueError("frequencies must be finite, nonnegative, and keyed by nonzero sizes")
+    b = _real(b, "permanence parameter must lie in (0, 1]", high=1.0, above=0.0)
+    beta0 = _real(beta0, "event rate beta_0 must be finite and > 0", above=0.0)
+    need = "frequencies must be finite, nonnegative, and keyed by nonzero sizes"
+    a = {_whole(y, "frequencies must be keyed by nonzero integer sizes"): _real(p, need, 0.0) for y, p in alpha.items()}
+    if any(y == 0 for y in a):
+        raise ValueError(need)
     total = sum(a.values())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"frequencies must sum to 1, got {total!r}")
@@ -701,12 +696,8 @@ def fit_signature(
 
 def _flatten_estimates(result: FitResult) -> dict[str, float]:
     """Parameter map for a fit: b, per-size intensities, family params."""
-    out = {"b": result.params.b}
-    for y, rate in result.params.levy.as_dict().items():
-        out[f"nu({y:+d})"] = rate
-    for key, val in result.params.trawl.family.params().items():
-        out[key] = float(val)
-    return out
+    levy = {f"nu({y:+d})": rate for y, rate in result.params.levy.as_dict().items()}
+    return {"b": result.params.b, **levy, **result.params.trawl.family.params()}
 
 
 def _bootstrap_one(args) -> tuple[int, bool, dict[str, float], str | None, dict[str, int]]:
@@ -779,13 +770,14 @@ def bootstrap(
     n_workers = None if n_workers is None else _whole(n_workers, "need an integer worker count >= 1", 1)
     v0 = _whole(v0, "v0 must be an integer tick count")
     seed = _whole(seed, "seed must be an integer >= 0", 0)
+    span = _real(span, "span must be finite and > 0", above=0.0)
     if family is None:
         family = params.trawl.family.name
     _fit_family(family)
     if deltas is None:
         deltas = DEFAULT_GRID
     deltas = np.asarray(deltas, dtype=float)
-    jobs = [(params, float(span), v0, family, seed, i, deltas) for i in range(n_paths)]
+    jobs = [(params, span, v0, family, seed, i, deltas) for i in range(n_paths)]
     if n_workers is not None and n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel bootstrap needs it
 

@@ -70,17 +70,38 @@ def _integer_or_none(y) -> int | None:
     return yi if yi == y else None
 
 
-def _whole(value, need: str, low: float = -math.inf, text: bool = False) -> int:
-    """The one test of a whole-number argument: ``value`` as an int where it
-    is a non-bool integer or an integral finite float (with ``text``, also a
-    string ``int`` parses) of at least ``low``, else ``ValueError("<need>, got <value>")``."""
-    whole = value
-    if text and isinstance(value, str):
+def _number(value, parse=None):
+    """The one definition of a number: ``value`` where it is a non-bool ``numbers.Real``,
+    what ``parse`` (``int`` or ``float``, where given) makes of a string, else None."""
+    if parse is not None and isinstance(value, str):
         with contextlib.suppress(ValueError):
-            whole = int(value)
-    if isinstance(whole, numbers.Real) and not isinstance(whole, bool):
-        if (isinstance(whole, numbers.Integral) or float(whole).is_integer()) and int(whole) >= low:
-            return int(whole)
+            return parse(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    return None
+
+
+def _whole(value, need: str, low: float = -math.inf, text: bool = False) -> int:
+    """The one test of a whole-number argument: ``value`` as an int where it is a :func:`_number`
+    (with ``text``, parsed by ``int``) that is an integer or an integral float of at least ``low``,
+    else ``ValueError("<need>, got <value>")``."""
+    whole = _number(value, int if text else None)
+    if whole is not None and (isinstance(whole, numbers.Integral) or float(whole).is_integer()) and int(whole) >= low:
+        return int(whole)
+    raise ValueError(f"{need}, got {value!r}")
+
+
+def _real(value, need: str, low=-math.inf, high=math.inf, above=-math.inf, text: bool = False) -> float:
+    """The one test of a real-valued argument: ``value`` as a float where it is a finite :func:`_number`
+    (with ``text``, parsed by ``float``) in ``[low, high]`` and above ``above``, else
+    ``ValueError("<need>, got <value>")``."""
+    x = math.nan
+    number = _number(value, float if text else None)
+    if number is not None:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            x = float(number)
+    if math.isfinite(x) and low <= x <= high and x > above:
+        return x
     raise ValueError(f"{need}, got {value!r}")
 
 
@@ -114,9 +135,7 @@ class LevyMeasure:
             yi = _whole(y, "jump size must be a nonzero integer")
             if yi == 0:
                 raise ValueError(f"jump size must be a nonzero integer, got {y!r}")
-            r = float(rate)
-            if not math.isfinite(r) or r < 0.0:
-                raise ValueError(f"intensity for size {yi} must be finite and >= 0, got {rate!r}")
+            r = _real(rate, f"intensity for size {yi} must be finite and >= 0", 0.0)
             if r > 0.0:
                 cleaned[yi] = cleaned.get(yi, 0.0) + r
         if not cleaned:
@@ -178,9 +197,7 @@ class LevyMeasure:
         ``r = 0`` counts total intensity (``|y|^0 = 1`` on the support,
         which excludes zero by construction).
         """
-        r = float(r)
-        if not math.isfinite(r) or r < 0.0:
-            raise ValueError(f"moment exponent must be finite and >= 0, got {r!r}")
+        r = _real(r, "moment exponent must be finite and >= 0", 0.0)
         return float(np.sum(self._rates * np.abs(self._sizes.astype(float)) ** r))
 
 
@@ -275,7 +292,8 @@ class TrawlFamily(ABC):
 
     def _at_levels(self, kernel, level, kind: str, *args):
         """``kernel`` at validated quantile levels, shaped like ``level``."""
-        arr = _check_level(level, kind)
+        bounds = dict(low=0.0, below=1.0) if kind == "[0,1)" else dict(above=0.0, high=1.0)
+        arr = _reals(level, f"quantile level must lie in {kind}", **bounds)
         return _match(np.reshape(kernel(arr, *args, *self._fields()), np.shape(level)), level)
 
     @abstractmethod
@@ -309,7 +327,8 @@ class TrawlFamily(ABC):
     @classmethod
     def from_params(cls, params: Mapping) -> "TrawlFamily":
         """Build the family from its wire-format parameter mapping."""
-        return cls(**{c.attr: float(params[key]) for key, c in cls.coords.items()})
+        need = "trawl parameter {!r} must be a finite number"
+        return cls(**{c.attr: _real(params[key], need.format(key), text=True) for key, c in cls.coords.items()})
 
 
 @dataclass(frozen=True)
@@ -322,8 +341,7 @@ class ExponentialTrawl(TrawlFamily):
     coords = {"lambda": Coord("lam", True, (1e-5, 1e5), (1e-5, 1e5))}
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"decay rate must be finite and > 0, got {self.lam!r}")
+        object.__setattr__(self, "lam", _real(self.lam, "decay rate must be finite and > 0", above=0.0))
 
     @staticmethod
     def _d_tilde(s, lam):
@@ -372,10 +390,8 @@ class SupGammaTrawl(TrawlFamily):
     }
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"scale alpha must be finite and > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.H) and self.H >= 1.0):
-            raise ValueError(f"tail index H must be finite and >= 1, got {self.H!r}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "scale alpha must be finite and > 0", above=0.0))
+        object.__setattr__(self, "H", _real(self.H, "tail index H must be finite and >= 1", 1.0))
 
     @staticmethod
     def _d_tilde(s, alpha, H):
@@ -451,12 +467,9 @@ class SupGigTrawl(TrawlFamily):
     }
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not (math.isfinite(self.delta_gig) and self.delta_gig > 0.0):
-            raise ValueError(f"delta must be finite and > 0, got {self.delta_gig!r}")
-        if not math.isfinite(self.order):
-            raise ValueError(f"order must be finite, got {self.order!r}")
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma must be finite and >= 0", 0.0))
+        object.__setattr__(self, "delta_gig", _real(self.delta_gig, "delta must be finite and > 0", above=0.0))
+        object.__setattr__(self, "order", _real(self.order, "order must be finite"))
         if self.gamma == 0.0 and self.order >= 0.0:
             raise ValueError("gamma = 0 requires a negative order")
 
@@ -571,12 +584,10 @@ class TabulatedTrawl(TrawlFamily):
     name = "tabulated"
 
     def __init__(self, s_knots: Sequence[float], d_values: Sequence[float]):
-        s = np.asarray(s_knots, dtype=float)
-        d = np.asarray(d_values, dtype=float)
+        s = _reals(s_knots, "knots and values must be finite")
+        d = _reals(d_values, "knots and values must be finite")
         if s.ndim != 1 or s.shape != d.shape or s.size < 2:
             raise ValueError("need matching 1-d knot and value arrays with >= 2 points")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(d))):
-            raise ValueError("knots and values must be finite")
         if np.any(np.diff(s) <= 0.0) or s[-1] != 0.0 or np.any(s > 0.0):
             raise ValueError("knots must be strictly increasing, nonpositive, and end at 0")
         if np.any(np.diff(d) < 0.0) or d[-1] != 1.0 or np.any(d < 0.0):
@@ -666,35 +677,30 @@ def _branch(mask, if_true, if_false):
     return np.where(mask, if_true(), if_false())
 
 
+def _reals(values, need: str, low=-math.inf, high=math.inf, above=-math.inf, below=math.inf) -> np.ndarray:
+    """The array counterpart of :func:`_real`: ``values`` as a float array (``np.asarray``'s rule) whose
+    entries are finite, in ``[low, high]``, above ``above`` and below ``below``, else ``ValueError(need)``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an int beyond the float range
+        raise ValueError(need) from None
+    least, most = arr.min(initial=math.inf), arr.max(initial=-math.inf)  # nan if any entry is
+    if not (low <= least and above < least and most <= high and most < below):
+        raise ValueError(need)
+    return arr
+
+
 def _check_lag(s) -> np.ndarray:
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr > 0.0):
-        raise ValueError("profile is defined for s <= 0 only")
-    return s_arr
+    return _reals(s, "profile is defined for finite s <= 0 only", high=0.0)
 
 
 def _check_age(t) -> np.ndarray:
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("age/horizon must be finite and >= 0")
-    return t_arr
+    return _reals(t, "age/horizon must be finite and >= 0", 0.0)
 
 
-def _check_level(p, kind: str) -> np.ndarray:
-    p_arr = np.asarray(p, dtype=float)
-    ok = np.all(np.isfinite(p_arr))
-    if kind == "[0,1)":
-        ok = ok and not (np.any(p_arr < 0.0) or np.any(p_arr >= 1.0))
-    else:
-        ok = ok and not (np.any(p_arr <= 0.0) or np.any(p_arr > 1.0))
-    if not ok:
-        raise ValueError(f"quantile level must lie in {kind}")
-    return p_arr
-
-
-def _mapping(value, field: str) -> Mapping:
+def _mapping(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
-        raise ValueError(f"model JSON field {field!r} must be an object, got {type(value).__name__}")
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
     return value
 
 
@@ -703,10 +709,9 @@ _FAMILIES = {cls.name: cls for cls in (ExponentialTrawl, SupGammaTrawl, SupGigTr
 
 def _family_class(name: str) -> type[TrawlFamily]:
     """The trawl family class registered under a wire-format name."""
-    try:
+    if isinstance(name, str) and name in _FAMILIES:
         return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown trawl family {name!r}; expected one of {sorted(_FAMILIES)}") from None
+    raise ValueError(f"unknown trawl family {name!r}; expected one of {sorted(_FAMILIES)}")
 
 
 def family_from_params(name: str, params: Mapping) -> TrawlFamily:
@@ -731,8 +736,7 @@ class TrawlSpec:
     family: TrawlFamily
 
     def __post_init__(self):
-        if not (math.isfinite(self.b) and 0.0 <= self.b <= 1.0):
-            raise ValueError(f"permanence parameter b must lie in [0, 1], got {self.b!r}")
+        object.__setattr__(self, "b", _real(self.b, "permanence parameter b must lie in [0, 1]", 0.0, 1.0))
         if not isinstance(self.family, TrawlFamily):
             raise TypeError("family must be a TrawlFamily instance")
 
@@ -790,12 +794,19 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelParams":
+        """Inverse of :meth:`to_dict`; numbers may also be numeric strings.
+        Anything else malformed raises ``ValueError``."""
+        data = _mapping(data, "model JSON")
         try:
-            b = float(data["b"])
-            trawl_block = _mapping(data["trawl"], "trawl")
-            family = family_from_params(trawl_block["family"], _mapping(trawl_block["params"], "trawl.params"))
-            nu = _mapping(data["levy"], "levy")
-            levy = LevyMeasure({_whole(y, "levy size must be an integer", text=True): float(r) for y, r in nu.items()})
+            b = _real(data["b"], "model JSON field 'b' must be a finite number", text=True)
+            trawl_block = _mapping(data["trawl"], "model JSON field 'trawl'")
+            params = _mapping(trawl_block["params"], "model JSON field 'trawl.params'")
+            family = family_from_params(trawl_block["family"], params)
+            levy = LevyMeasure({
+                _whole(y, "levy size must be an integer", text=True):
+                    _real(r, "model JSON field 'levy' must map sizes to finite numbers", text=True)
+                for y, r in _mapping(data["levy"], "model JSON field 'levy'").items()
+            })
         except KeyError as exc:
             raise ValueError(f"model JSON is missing required field {exc}") from exc
         return cls(levy=levy, trawl=TrawlSpec(b=b, family=family))
@@ -958,11 +969,8 @@ def bessel_k(order, x):
     FloatingPointError
         When the true value underflows to zero (``x`` beyond ~740).
     """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
-        raise ValueError("bessel_k requires finite x > 0")
-    if not np.all(np.isfinite(np.asarray(order, dtype=float))):
-        raise ValueError("bessel_k requires finite order")
+    x_arr = _reals(x, "bessel_k requires finite x > 0", above=0.0)
+    _reals(order, "bessel_k requires finite order")
     # kve * exp(-x) reaches the true underflow floor (~x = 744); the plain
     # kv zeroes out near x = 700 while the value is still representable
     out = sps.kve(order, x_arr) * np.exp(-x_arr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _whole
+from .model import ModelParams, _real, _whole
 
 __all__ = [
     "PricePath",
@@ -58,8 +58,8 @@ class PricePath:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         jumps = np.asarray(self.jumps)
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end) and self.t_start < self.t_end):
-            raise ValueError("need finite t_start < t_end")
+        object.__setattr__(self, "t_start", _real(self.t_start, "need finite t_start < t_end"))
+        object.__setattr__(self, "t_end", _real(self.t_end, "need finite t_start < t_end", above=self.t_start))
         object.__setattr__(self, "v0", _whole(self.v0, "v0 must be an integer tick count"))
         if times.ndim != 1 or jumps.shape != times.shape:
             raise ValueError("times and jumps must be matching 1-d arrays")
@@ -226,15 +226,15 @@ def simulate_path(params: ModelParams, t_start: float, t_end: float, v0: int, rn
     rng : numpy Generator, int seed, or None
         Identical generator state yields an identical path.
     """
-    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start < t_end):
-        raise ValueError("need finite t_start < t_end")
+    t_start = _real(t_start, "need finite t_start < t_end")
+    t_end = _real(t_end, "need finite t_start < t_end", above=t_start)
     v0 = _whole(v0, "v0 must be an integer tick count")  # before the events are drawn
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    times, jumps, _, _ = _generate_events(params, float(t_start), float(t_end), rng)
+    times, jumps, _, _ = _generate_events(params, t_start, t_end, rng)
     # other exact time ties have probability zero; they are ordered by
     # insertion sequence and never merged, so a real tie fails the path
     # invariant loudly
-    return PricePath(v0=v0, t_start=float(t_start), t_end=float(t_end), times=times, jumps=jumps, seed=seed)
+    return PricePath(v0=v0, t_start=t_start, t_end=t_end, times=times, jumps=jumps, seed=seed)
 
 
 def window_index(times, t_start: float, delta: float) -> np.ndarray:
@@ -249,7 +249,8 @@ def window_index(times, t_start: float, delta: float) -> np.ndarray:
     taken relative to ``t_start``, which the signature forms once per path.
     Cost and memory are O(events); sorted times give sorted indices.
     """
-    rel = np.asarray(times, dtype=float) - t_start
+    delta = _real(delta, "delta must be finite and > 0", above=0.0)
+    rel = np.asarray(times, dtype=float) - _real(t_start, "t_start must be finite")
     return _window_ceil(rel, delta, np.empty(np.shape(rel))).astype(np.int64)
 
 
@@ -300,9 +301,7 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
     events: 400 MB for a 50,000 s span at ``delta = 1e-3``.  The signature
     (:func:`~trawlprice.estimate.variance_grid`) needs no such array.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    delta = _real(delta, "delta must be finite and > 0", above=0.0)
     rel, csum = _running_move(path)
     k = np.empty_like(rel)
     n, last, x = _window_sums(rel, csum, k, path.span, delta)
@@ -315,9 +314,7 @@ def returns_at(path: PricePath, delta: float) -> np.ndarray:
 
 def realized_pv(path: PricePath, r: float) -> float:
     """Realized power variation: ``sum |jump|^r`` (event count for r=0)."""
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"order must be finite and >= 0, got {r!r}")
+    r = _real(r, "order must be finite and >= 0", 0.0)
     if path.n_events == 0:
         return 0.0
     return float(np.sum(np.abs(path.jumps).astype(float) ** r))
@@ -344,11 +341,14 @@ def write_path_csv(path: PricePath, csv_file, sidecar_file) -> None:
 
 
 def read_path_csv(csv_file, sidecar_file) -> PricePath:
-    """Inverse of :func:`write_path_csv`; lossless round trip.  A malformed sidecar raises ``ValueError``."""
+    """Inverse of :func:`write_path_csv`; lossless round trip.
+
+    The sidecar's numbers may also be numeric strings.  A malformed CSV or
+    sidecar raises ``ValueError``.
+    """
     with open(sidecar_file) as fh:
         meta = json.load(fh)
-    fields = ("t_start", "t_end", "v0")
-    if not (isinstance(meta, dict) and all(isinstance(meta.get(k), (int, float, str)) for k in fields)):
+    if not (isinstance(meta, dict) and {"t_start", "t_end", "v0"} <= meta.keys()):
         raise ValueError("sidecar must hold a JSON object with numbers t_start, t_end and v0")
     with open(csv_file) as fh:
         header = fh.readline().split(",")
@@ -372,8 +372,8 @@ def read_path_csv(csv_file, sidecar_file) -> PricePath:
     seed = meta.get("seed")
     return PricePath(
         v0=v0,
-        t_start=float(meta["t_start"]),
-        t_end=float(meta["t_end"]),
+        t_start=_real(meta["t_start"], "sidecar t_start must be a finite number", text=True),
+        t_end=_real(meta["t_end"], "sidecar t_end must be a finite number", text=True),
         times=np.ascontiguousarray(times),  # a field view would keep the price column alive
         jumps=jumps,
         seed=None if seed is None else _whole(seed, "sidecar seed must be an integer or null", text=True),

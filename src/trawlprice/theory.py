@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LevyMeasure, ModelParams, _integer_or_none, _whole
+from .model import LevyMeasure, ModelParams, _integer_or_none, _real, _whole
 
 __all__ = [
     "return_cumulant",
@@ -32,10 +32,7 @@ __all__ = [
 
 
 def _check_horizon(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"horizon must be finite and > 0, got {t!r}")
-    return t
+    return _real(t, "horizon must be finite and > 0", above=0.0)
 
 
 def return_cumulant(params: ModelParams, t: float, j: int) -> float:

@@ -9,6 +9,7 @@ overlaps from the profile alone.
 import functools
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from trawlprice import (
+    CleanConfig,
     ExponentialTrawl,
     LevyMeasure,
     ModelParams,
@@ -31,13 +33,20 @@ from trawlprice import (
     bessel_k,
     bootstrap,
     collect_stats,
+    expected_pv,
     expected_rv,
     fit_signature,
     levy_from_moments,
     read_path_csv,
+    realized_pv,
+    return_cf,
     return_cumulant,
+    return_log_cf,
     return_pmf,
+    returns_at,
     simulate_path,
+    window_index,
+    write_path_csv,
 )
 import trawlprice.model
 from trawlprice.model import _FAMILIES, TrawlFamily, family_from_params
@@ -668,7 +677,7 @@ class TestFamilyContract:
             assert not hasattr(trawlprice.model, gone), gone
 
     @pytest.mark.parametrize("name", sorted(_MEMBERS))
-    @pytest.mark.parametrize("s", [0.5, 1e-300, [-1.0, 0.25]])
+    @pytest.mark.parametrize("s", [0.5, 1e-300, [-1.0, 0.25], math.nan, -math.inf, [-1.0, math.nan]])
     def test_positive_lag_rejected(self, name, s):
         with pytest.raises(ValueError, match=r"s <= 0 only"):
             _MEMBERS[name].d_tilde(s)
@@ -892,3 +901,126 @@ class TestWholeNumberArguments:
         assert return_cumulant(base_params, 1.0, 2.0) == return_cumulant(base_params, 1.0, np.int64(2))
         path = PricePath(v0=np.float64(3.0), t_start=0.0, t_end=1.0, times=[], jumps=[])
         assert path.v0 == 3 and type(path.v0) is int
+
+
+# ---------------------------------------------------------------------------
+# Real-valued arguments
+# ---------------------------------------------------------------------------
+
+
+def _model_json_with(params, where, value):
+    data = params.to_dict()
+    block = data
+    for key in where[:-1]:
+        block = block[key]
+    block[where[-1]] = value
+    return ModelParams.from_dict(data)
+
+
+_PATH = PricePath(v0=0, t_start=0.0, t_end=10.0, times=[1.0, 2.0], jumps=[1, -1])
+_FREQ = {1: 0.5, -1: 0.5}
+
+# site: (call with the argument under test, the message it raises, whether
+# the site reads a wire format and so takes a numeric string)
+_REAL_SITES = {
+    "ExponentialTrawl-lam": (lambda p, v, tmp: ExponentialTrawl(v), "decay rate must be finite and > 0", False),
+    "SupGammaTrawl-alpha": (lambda p, v, tmp: SupGammaTrawl(v, 2.0), "scale alpha must be finite and > 0", False),
+    "SupGammaTrawl-H": (lambda p, v, tmp: SupGammaTrawl(1.0, v), "tail index H must be finite and >= 1", False),
+    "SupGigTrawl-gamma": (lambda p, v, tmp: SupGigTrawl(v, 1.0, -0.5), "gamma must be finite and >= 0", False),
+    "SupGigTrawl-delta": (lambda p, v, tmp: SupGigTrawl(1.0, v, -0.5), "delta must be finite and > 0", False),
+    "SupGigTrawl-order": (lambda p, v, tmp: SupGigTrawl(1.0, 1.0, v), "order must be finite", False),
+    "TrawlSpec-b": (lambda p, v, tmp: TrawlSpec(v, p.trawl.family), "permanence parameter b must lie in [0, 1]", False),
+    "LevyMeasure-rate": (lambda p, v, tmp: LevyMeasure({1: v}), "intensity for size 1 must be finite and >= 0", False),
+    "LevyMeasure.abs_moment": (
+        lambda p, v, tmp: p.levy.abs_moment(v), "moment exponent must be finite and >= 0", False,
+    ),
+    "return_cumulant-t": (lambda p, v, tmp: return_cumulant(p, v, 2), "horizon must be finite and > 0", False),
+    "return_log_cf-t": (lambda p, v, tmp: return_log_cf(p, v, 0.5), "horizon must be finite and > 0", False),
+    "return_cf-t": (lambda p, v, tmp: return_cf(p, v, 0.5), "horizon must be finite and > 0", False),
+    "return_pmf-t": (lambda p, v, tmp: return_pmf(p, v), "horizon must be finite and > 0", False),
+    "acf-delta": (lambda p, v, tmp: acf(p, v, 2), "horizon must be finite and > 0", False),
+    "expected_pv-t": (lambda p, v, tmp: expected_pv(p, v, 2.0), "horizon must be finite and > 0", False),
+    "expected_pv-r": (lambda p, v, tmp: expected_pv(p, 1.0, v), "moment exponent must be finite and >= 0", False),
+    "expected_rv-span": (lambda p, v, tmp: expected_rv(p, v, 10), "horizon must be finite and > 0", False),
+    "PricePath-t_start": (lambda p, v, tmp: PricePath(0, v, 10.0, [], []), "need finite t_start < t_end", False),
+    "PricePath-t_end": (lambda p, v, tmp: PricePath(0, 0.0, v, [], []), "need finite t_start < t_end", False),
+    "simulate_path-t_start": (lambda p, v, tmp: simulate_path(p, v, 10.0, 0, 1), "need finite t_start < t_end", False),
+    "simulate_path-t_end": (lambda p, v, tmp: simulate_path(p, 0.0, v, 0, 1), "need finite t_start < t_end", False),
+    "window_index-t_start": (lambda p, v, tmp: window_index([1.0], v, 1.0), "t_start must be finite", False),
+    "window_index-delta": (lambda p, v, tmp: window_index([1.0], 0.0, v), "delta must be finite and > 0", False),
+    "returns_at-delta": (lambda p, v, tmp: returns_at(_PATH, v), "delta must be finite and > 0", False),
+    "realized_pv-r": (lambda p, v, tmp: realized_pv(_PATH, v), "order must be finite and >= 0", False),
+    "levy_from_moments-b": (
+        lambda p, v, tmp: levy_from_moments(_FREQ, 1.0, v), "permanence parameter must lie in (0, 1]", False,
+    ),
+    "levy_from_moments-beta0": (
+        lambda p, v, tmp: levy_from_moments(_FREQ, v, 0.5), "event rate beta_0 must be finite and > 0", False,
+    ),
+    "levy_from_moments-frequency": (
+        lambda p, v, tmp: levy_from_moments({1: v, -1: 0.5}, 1.0, 0.5),
+        "frequencies must be finite, nonnegative, and keyed by nonzero sizes", False,
+    ),
+    "bootstrap-span": (lambda p, v, tmp: bootstrap(p, span=v, v0=0, n_paths=2), "span must be finite and > 0", False),
+    "CleanConfig-tick_size": (lambda p, v, tmp: CleanConfig(v), "tick_size must be finite and > 0", False),
+    "CleanConfig-m_factor": (lambda p, v, tmp: CleanConfig(0.25, v), "m_factor must be finite and > 0", False),
+    "model-json-b": (
+        lambda p, v, tmp: _model_json_with(p, ["b"], v), "model JSON field 'b' must be a finite number", True,
+    ),
+    "model-json-lambda": (
+        lambda p, v, tmp: _model_json_with(p, ["trawl", "params", "lambda"], v),
+        "trawl parameter 'lambda' must be a finite number", True,
+    ),
+    "model-json-levy-rate": (
+        lambda p, v, tmp: _model_json_with(p, ["levy", "1"], v),
+        "model JSON field 'levy' must map sizes to finite numbers", True,
+    ),
+    "sidecar-t_start": (
+        lambda p, v, tmp: _read_sidecar(tmp, t_start=v), "sidecar t_start must be a finite number", True,
+    ),
+    "sidecar-t_end": (lambda p, v, tmp: _read_sidecar(tmp, t_end=v), "sidecar t_end must be a finite number", True),
+}
+
+# a bool, a numeric string, None, a list, and the two non-finite floats
+_NOT_REALS = [True, "2", None, [2.0], math.nan, math.inf]
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize(
+        "site, value",
+        [(site, v) for site, (_, _, text) in _REAL_SITES.items() for v in _NOT_REALS if not (text and v == "2")],
+    )
+    def test_rejects_what_is_not_a_finite_real(self, base_params, tmp_path, site, value):
+        call, need, _ = _REAL_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{need}, got {value!r}")):
+            call(base_params, value, tmp_path)
+
+    def test_wire_formats_read_a_numeric_string(self, base_params, tmp_path):
+        assert _model_json_with(base_params, ["b"], " 0.25 ").b == 0.25
+        assert _model_json_with(base_params, ["trawl", "params", "lambda"], "2").trawl.family == ExponentialTrawl(2.0)
+        assert _model_json_with(base_params, ["levy", "1"], "0.5").levy[1] == 0.5
+        path = _read_sidecar(tmp_path, t_start="-1", t_end="1e3")
+        assert (path.t_start, path.t_end) == (-1.0, 1000.0)
+
+    def test_ints_are_stored_as_floats(self, tmp_path):
+        def floats(*values):
+            return all(type(v) is float for v in values)
+
+        gig = SupGigTrawl(1, 1, 1)
+        spec = TrawlSpec(1, ExponentialTrawl(2))
+        path = PricePath(0, 0, 10, [1.0], [1])
+        assert floats(ExponentialTrawl(2).lam, ExponentialTrawl(np.float64(2)).lam)
+        assert floats(*SupGammaTrawl(1, 2).params().values())
+        assert floats(gig.gamma, gig.delta_gig, gig.order, spec.b, path.t_start, path.t_end)
+        assert floats(CleanConfig(1).tick_size, CleanConfig(1, 9).m_factor)
+        text = json.dumps(ModelParams(LevyMeasure({1: 2}), spec).to_dict())
+        assert '"b": 1.0' in text and '"lambda": 2.0' in text and '"1": 2.0' in text and "true" not in text
+        write_path_csv(path, tmp_path / "p.csv", tmp_path / "p.json")
+        meta = (tmp_path / "p.json").read_text()
+        assert '"t_start": 0.0' in meta and '"t_end": 10.0' in meta
+
+    def test_an_int_field_gives_the_bits_of_its_float(self):
+        t = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
+        pairs = [(ExponentialTrawl(2), ExponentialTrawl(2.0)), (SupGammaTrawl(1, 2), SupGammaTrawl(1.0, 2.0))]
+        for whole, real in pairs:
+            assert whole.increment(t).tobytes() == real.increment(t).tobytes()
+            assert whole.increment(0.5) == real.increment(0.5)
